@@ -7,10 +7,10 @@ the input at all.
 
 from __future__ import annotations
 
-from .weights import divisor_chain_form, normalize
+from .weights import _reduced_forms, as_weights
 
 
 def canonical_pair(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sorted normalized vector, divisor-chain form) of a weight vector."""
-    nw = normalize(weights)
-    return tuple(sorted(nw)), divisor_chain_form(nw)
+    normal, chain = _reduced_forms(as_weights(weights))
+    return tuple(sorted(normal)), chain

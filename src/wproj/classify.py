@@ -163,7 +163,8 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
             )
         )
     count = sum(len(r.members) for r in records)
-    assert count == total, f"census enumerated {count} of {total} vectors"
+    if count != total:
+        raise AssertionError(f"census enumerated {count} of {total} vectors")
     return CensusReport(
         dimension=dimension,
         max_weight=max_weight,

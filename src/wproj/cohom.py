@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable
 
 from .errors import InvalidInputError
@@ -97,8 +97,8 @@ class RingPresentation:
 
     def __post_init__(self):
         l = self.pullback
-        if len(l) != self.n + 1 or l[0] != 1:
-            raise InvalidInputError("pullback sequence must start at 1 with n+1 entries")
+        if len(l) != self.n + 1 or l[0] != 1 or min(l) < 1:
+            raise InvalidInputError("pullback sequence must start at 1 with n+1 positive entries")
         if any(b % a for a, b in zip(l, l[1:])):
             raise InvalidInputError("pullback sequence must be a divisor chain")
         expected = {(i, j) for i in range(self.n + 1) for j in range(i, self.n + 1 - i)}
@@ -131,7 +131,8 @@ def ring(weights: Iterable[int]) -> RingPresentation:
     for i in range(n + 1):
         for j in range(i, n + 1 - i):
             q, r = divmod(l[i] * l[j], l[i + j])
-            assert r == 0, f"non-integral structure constant at ({i}, {j}) for {w}"
+            if r:
+                raise AssertionError(f"non-integral structure constant at ({i}, {j}) for {w}")
             constants[(i, j)] = q
     return RingPresentation(n, l, constants)
 
@@ -165,7 +166,8 @@ def lens_cohomology(k: int, weights: Iterable[int]) -> dict[int, int]:
     groups: dict[int, int] = {0: 0}
     for i in range(1, n + 1):
         q, r = divmod(augmented[i], plain[i])
-        assert r == 0, f"lens order not integral at i={i} for k={k}, weights {w}"
+        if r:
+            raise AssertionError(f"lens order not integral at i={i} for k={k}, weights {w}")
         groups[2 * i] = q
     groups[2 * n + 1] = 0
     return groups
@@ -175,20 +177,13 @@ def graded_ring_iso(a: RingPresentation, b: RingPresentation) -> bool:
     """Decide graded ring isomorphism on the chosen degreewise generators.
 
     An isomorphism may only rescale each generator by a sign (the unit is
-    fixed), so isomorphy is decided by brute force over the 2**n sign
-    vectors.
+    fixed).  Structure constants are positive, so no sign choice maps one set
+    of constants to another: isomorphic exactly when the constants agree.
 
     >>> graded_ring_iso(ring((1, 2, 3, 4)), ring((1, 1, 2, 12)))
     True
     """
-    if a.n != b.n:
-        return False
-    pairs = list(a.constants)
-    for signs in product((1, -1), repeat=a.n):
-        eps = (1,) + signs
-        if all(eps[i] * eps[j] * a.constants[i, j] == eps[i + j] * b.constants[i, j] for i, j in pairs):
-            return True
-    return False
+    return a.n == b.n and a.constants == b.constants
 
 
 # Degree markers for the two non-power self-maps with known degree.

@@ -48,7 +48,8 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 16)
+# Fits every entry of a census in the default budget (dimension 1: up to 4471).
+@lru_cache(maxsize=1 << 13)
 def _factor_pairs(m: int) -> tuple[tuple[int, int], ...]:
     pairs = []
     d = 2
@@ -102,10 +103,6 @@ def as_prime_set(primes: Iterable[int]) -> frozenset[int]:
         if not is_prime(p):
             raise InvalidInputError(f"{p} is not prime")
     return ps
-
-
-def _support(m: int) -> frozenset[int]:
-    return frozenset(factorize(m))
 
 
 def is_p_local(x: Fraction | int, primes: Iterable[int]) -> bool:

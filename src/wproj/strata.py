@@ -83,10 +83,10 @@ def local_homology_order(weights: Iterable[int], support: Iterable[int]) -> int:
         raise NotNormalizedError(f"local homology orders need normalized weights, got {w}")
     J = _check_support(w, support)
     q = math.gcd(*(w[i] for i in J))
-    if len(J) >= len(w) - 1:
+    if len(J) >= len(w) - 1 and q != 1:
         # cone factor is a point or a disk: the order is forced to 1, which
         # normalization guarantees
-        assert q == 1, f"normalized vector {w} has non-trivial gcd on {J}"
+        raise AssertionError(f"normalized vector {w} has non-trivial gcd on {J}")
     return q
 
 

@@ -1,10 +1,11 @@
 """Weight-vector calculus.
 
 A weighted projective space is represented purely by its weight vector, a
-tuple of positive integers.  This module implements the rewriting system that
-brings a weight vector into normalized form, the per-prime content tables,
-the canonical divisor-chain form, and the divisor-count bookkeeping used to
-reconstruct normalized weights from local data.
+tuple of positive integers.  Normalized forms (computed in closed form),
+divisor-chain forms and p-content tables are all read from one table of
+per-prime valuations; the rewriting moves of :func:`normalize_with_moves`
+exist for reporting and as the test oracle.  Divisor counts reconstruct
+normalized weights from local data.
 
 All functions are pure; census drivers may call them from parallel workers.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, InvalidInputError
-from .numth import factorize, is_prime, p_part
+from .numth import _factor_pairs, is_prime
 
 __all__ = [
     "as_weights",
@@ -68,12 +69,35 @@ def parse_weights(text: str) -> Weights:
     return as_weights(values)
 
 
-def prime_support(w: Weights) -> tuple[int, ...]:
-    """Ascending list of primes dividing at least one weight."""
-    primes: set[int] = set()
-    for x in w:
-        primes.update(factorize(x))
-    return tuple(sorted(primes))
+def _valuations(w: Weights) -> dict[int, list[int]]:
+    """Exponent column of each prime dividing some weight (primes unordered)."""
+    table: dict[int, list[int]] = {}
+    for i, x in enumerate(w):
+        for p, e in _factor_pairs(x):
+            if p not in table:
+                table[p] = [0] * len(w)
+            table[p][i] = e
+    return table
+
+
+def _reduced_forms(w: Weights) -> tuple[Weights, Weights]:
+    """(normalized vector, divisor-chain form) from one valuation table.
+
+    Normalizing lowers each prime's valuations by the second-smallest one
+    (the only one, for a single weight), floored at zero; being monotone, the
+    same reduction of the sorted column is that prime's divisor-chain share.
+    """
+    normal = [1] * len(w)
+    chain = [1] * len(w)
+    for p, column in _valuations(w).items():
+        ranked = sorted(column)
+        floor = ranked[min(1, len(w) - 1)]
+        for i, (e, r) in enumerate(zip(column, ranked)):
+            if e > floor:
+                normal[i] *= p ** (e - floor)
+            if r > floor:
+                chain[i] *= p ** (r - floor)
+    return tuple(normal), tuple(chain)
 
 
 def is_normalized(weights: Iterable[int]) -> bool:
@@ -84,11 +108,7 @@ def is_normalized(weights: Iterable[int]) -> bool:
     >>> is_normalized((1, 2, 3, 4)), is_normalized((1, 2, 4))
     (True, False)
     """
-    w = as_weights(weights)
-    for p in prime_support(w):
-        if sum(1 for x in w if x % p) < 2:
-            return False
-    return True
+    return all(column.count(0) >= 2 for column in _valuations(as_weights(weights)).values())
 
 
 def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
@@ -105,11 +125,8 @@ def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
     if g > 1:
         w = [x // g for x in w]
         moves.append(("scale", g))
-    for p in prime_support(tuple(w)):
-        while True:
-            coprime = [i for i, x in enumerate(w) if x % p]
-            if len(coprime) != 1:
-                break
+    for p in sorted(_valuations(tuple(w))):
+        while len(coprime := [i for i, x in enumerate(w) if x % p]) == 1:
             keep = coprime[0]
             w = [x if i == keep else x // p for i, x in enumerate(w)]
             moves.append(("reduce", p, keep))
@@ -124,7 +141,7 @@ def normalize(weights: Iterable[int]) -> Weights:
     >>> normalize((6, 10, 15))
     (1, 1, 1)
     """
-    return normalize_with_moves(weights)[0]
+    return _reduced_forms(as_weights(weights))[0]
 
 
 def p_content(weights: Iterable[int], p: int) -> Weights:
@@ -136,7 +153,7 @@ def p_content(weights: Iterable[int], p: int) -> Weights:
     w = as_weights(weights)
     if not is_prime(p):
         raise InvalidInputError(f"p_content needs a prime, got {p}")
-    return tuple(p_part(x, p) for x in w)
+    return tuple(p**e for e in _valuations(w).get(p, [0] * len(w)))
 
 
 @dataclass(frozen=True)
@@ -153,12 +170,9 @@ def p_content_table(weights: Iterable[int]) -> dict[int, PContentColumn]:
 
     Primes dividing no weight are omitted (all-ones columns carry nothing).
     """
-    w = as_weights(weights)
-    table: dict[int, PContentColumn] = {}
-    for p in prime_support(w):
-        parts = tuple(p_part(x, p) for x in w)
-        table[p] = PContentColumn(p, parts, tuple(sorted(parts)))
-    return table
+    columns = sorted(_valuations(as_weights(weights)).items())
+    parts = {p: tuple(p**e for e in column) for p, column in columns}
+    return {p: PContentColumn(p, c, tuple(sorted(c))) for p, c in parts.items()}
 
 
 def divisor_chain_form(weights: Iterable[int]) -> Weights:
@@ -171,12 +185,7 @@ def divisor_chain_form(weights: Iterable[int]) -> Weights:
     >>> divisor_chain_form((1, 2, 3, 4))
     (1, 1, 2, 12)
     """
-    nw = normalize(weights)
-    out = [1] * len(nw)
-    for column in p_content_table(nw).values():
-        for i, r in enumerate(column.sorted_parts):
-            out[i] *= r
-    return tuple(out)
+    return _reduced_forms(as_weights(weights))[1]
 
 
 def is_divisor_chain(weights: Iterable[int]) -> bool:
@@ -237,6 +246,4 @@ def p_coprime_parts(weights: Iterable[int], p: int) -> Weights:
     (1, 1, 3, 1)
     """
     w = as_weights(weights)
-    if not is_prime(p):
-        raise InvalidInputError(f"p_coprime_parts needs a prime, got {p}")
-    return tuple(x // p_part(x, p) for x in w)
+    return tuple(x // q for x, q in zip(w, p_content(w, p)))

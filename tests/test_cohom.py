@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -96,6 +97,11 @@ class TestRing:
             RingPresentation(1, (2, 2), {(0, 0): 1, (0, 1): 1})
         with pytest.raises(InvalidInputError):
             RingPresentation(2, (1, 2, 4), {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 1): 3})
+        # non-positive multipliers: a negative constant, and a zero divisor
+        with pytest.raises(InvalidInputError):
+            RingPresentation(2, (1, -2, -4), {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 1): -1})
+        with pytest.raises(InvalidInputError):
+            RingPresentation(2, (1, 0, 0), {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 1): 1})
 
 
 class TestAdditiveCohomology:
@@ -150,6 +156,26 @@ class TestGradedRingIso:
 
     def test_dimension_mismatch(self):
         assert graded_ring_iso(ring((1, 1)), ring((1, 1, 1))) is False
+
+    def test_matches_sign_search(self):
+        # brute force over the sign rescalings of the generators
+        def sign_search(a, b):
+            signs = product((1, -1), repeat=a.n)
+            return a.n == b.n and any(
+                all(e[i] * e[j] * c == e[i + j] * b.constants[i, j] for (i, j), c in a.constants.items())
+                for e in ((1,) + s for s in signs)
+            )
+
+        rings = [ring(w) for w in box(3, 6)]
+        rng = random.Random(17)
+        for _ in range(2000):
+            a, b = rng.choice(rings), rng.choice(rings)
+            assert graded_ring_iso(a, b) == sign_search(a, b)
+
+    def test_large_dimension(self):
+        # n = 16: decided from the constants, no 2**16 sign enumeration
+        assert graded_ring_iso(ring((1,) * 16 + (2,)), ring((1,) * 17)) is False
+        assert graded_ring_iso(ring((1,) * 15 + (2, 3)), ring((1,) * 16 + (6,))) is True
 
     def test_matches_divisor_chain_form(self):
         vectors = list(box(2, 10))

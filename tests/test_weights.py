@@ -3,8 +3,9 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from wproj._kernels_py import canonical_pair
 from wproj.errors import InconsistentDataError, InvalidInputError
 from wproj.numth import p_part
 from wproj.weights import (
@@ -21,9 +22,24 @@ from wproj.weights import (
     reconstruct_weights,
 )
 
-from helpers import apply_move, box, randomized_normalize, sorted_vectors
+from helpers import apply_move, box, primes_dividing, randomized_normalize, sorted_vectors
 
 weight_vectors = st.lists(st.integers(1, 60), min_size=1, max_size=5).map(tuple)
+
+# Entries past the compiled kernel's range (above 2**32, products above
+# 2**64) that trial division still factors quickly: a smooth part times at
+# most one prime below 2**20.
+_large_entries = st.builds(
+    lambda smooth, big: math.prod(smooth) * big,
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=40),
+    st.sampled_from([1, 1, 65537, 1000003]),
+)
+# vectors up to 80 entries, past the kernel's 64-weight limit
+kernel_boundary_vectors = st.one_of(
+    weight_vectors,
+    st.lists(_large_entries, min_size=1, max_size=6).map(tuple),
+    st.lists(st.one_of(st.integers(1, 60), _large_entries), min_size=60, max_size=80).map(tuple),
+)
 
 
 class TestParsing:
@@ -123,6 +139,26 @@ class TestNormalize:
     @given(weight_vectors, st.integers(1, 10))
     def test_scaling_invariance_hypothesis(self, w, m):
         assert normalize(tuple(m * x for x in w)) == normalize(w)
+
+
+class TestClosedFormAgainstMoves:
+    """The closed-form core checked against the rewriting system it replaces."""
+
+    @settings(deadline=None)
+    @given(kernel_boundary_vectors)
+    @example(tuple(range(1, 66)))  # 65 weights
+    @example((2**33, 3 * 2**32, 5**14))  # entries above 2**32
+    @example((1, 2**31, 3**20, 5**13, 7**11))  # chain product above 2**64
+    def test_normal_and_chain_forms(self, w):
+        moved = normalize_with_moves(w)[0]
+        assert normalize(w) == moved
+        chain = [1] * len(w)
+        for p in primes_dividing(moved):
+            for i, q in enumerate(sorted(p_content(moved, p))):
+                chain[i] *= q
+        assert divisor_chain_form(w) == tuple(chain)
+        assert canonical_pair(w) == (tuple(sorted(moved)), tuple(chain))
+        assert is_normalized(moved) and is_normalized(w) == (moved == w)
 
 
 class TestPContent:
