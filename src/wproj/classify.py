@@ -12,6 +12,7 @@ with homotopy equivalence, so no separate predicate is exposed for it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Iterable
@@ -114,8 +115,11 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
     homeomorphism partition is verified during the merge.  Enumerations
     larger than ``limit`` (default 10**7 multisets) are refused up front with
     a :class:`ResourceLimitError`.  ``workers`` > 1 splits the enumeration by
-    first entry across processes; the merged report is identical either way.
+    first entry across at most ``min(workers, max_weight, os.cpu_count())``
+    processes; the merged report is identical either way.
     """
+    if workers < 1:
+        raise InvalidInputError(f"workers must be at least 1, got {workers}")
     if dimension < 0:
         raise InvalidInputError(f"dimension must be nonnegative, got {dimension}")
     if max_weight < 1:
@@ -132,9 +136,12 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
         )
 
     slices = [(first, dimension, max_weight) for first in range(1, max_weight + 1)]
+    workers = min(workers, len(slices), os.cpu_count() or 1)
     if workers > 1:
+        # one slice per task: slices shrink with their first entry, so
+        # batching them would give the first worker all the largest ones
         with get_context().Pool(workers) as pool:
-            partials = pool.map(_classify_slice, slices)
+            partials = pool.map(_classify_slice, slices, chunksize=1)
     else:
         partials = map(_classify_slice, slices)
 

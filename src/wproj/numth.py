@@ -6,18 +6,23 @@ guarantees lowest terms and a positive denominator.  Prime sets are
 ``frozenset[int]``.  Everything here is a pure function on immutable values
 and safe to call concurrently.
 
-Weights handled by this package are desk-scale (below 2**32), so trial
-division is the right factoring tool; there is deliberately no large-integer
-factoring machinery here.
+Factoring and primality testing are trial division by divisors up to
+``TRIAL_DIVISION_BOUND`` (2**20).  That settles every integer below 2**40 and,
+more generally, every product of primes up to the bound and at most one
+larger prime below 2**40.  When a cofactor above ``TRIAL_DIVISION_BOUND**2``
+is left without a known divisor, :class:`ResourceLimitError` is raised
+instead of searching on; there is deliberately no large-integer factoring
+machinery here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
-from .errors import InvalidInputError, NotPLocalError
+from .errors import InvalidInputError, NotPLocalError, ResourceLimitError
 
 __all__ = [
     "factorize",
@@ -27,40 +32,63 @@ __all__ = [
     "is_p_local",
     "is_p_local_unit",
     "unit_split",
+    "TRIAL_DIVISION_BOUND",
 ]
+
+TRIAL_DIVISION_BOUND = 1 << 20
+
+
+def _trial_divisors():
+    return chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2))
+
+
+def _over_bound(m: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"{m} may have a prime factor above the trial-division bound {TRIAL_DIVISION_BOUND}",
+        required=m,
+        limit=TRIAL_DIVISION_BOUND**2,
+    )
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic primality test by trial division.
+    """Deterministic primality test by bounded trial division.
+
+    Raises :class:`ResourceLimitError` for an m above ``TRIAL_DIVISION_BOUND**2``
+    with no divisor up to the bound.
 
     >>> [p for p in range(20) if is_prime(p)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
+    for d in _trial_divisors():
+        if d * d > m:
+            return True
         if m % d == 0:
             return False
-        d += 2
+    if m > TRIAL_DIVISION_BOUND**2:
+        raise _over_bound(m)
     return True
 
 
 # Fits every entry of a census in the default budget (dimension 1: up to 4471).
 @lru_cache(maxsize=1 << 13)
 def _factor_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    n = m
     pairs = []
-    d = 2
-    while d * d <= m:
+    for d in _trial_divisors():
+        if d * d > m:
+            break
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             pairs.append((d, e))
-        d += 1 if d == 2 else 2
+    # a cofactor this large means every divisor up to the bound was tried
+    # and m may still be a product of two primes above it
+    if m > TRIAL_DIVISION_BOUND**2:
+        raise _over_bound(n)
     if m > 1:
         pairs.append((m, 1))
     return tuple(pairs)
@@ -68,6 +96,9 @@ def _factor_pairs(m: int) -> tuple[tuple[int, int], ...]:
 
 def factorize(m: int) -> dict[int, int]:
     """Prime factorization of a positive integer, keys ascending.
+
+    Raises :class:`ResourceLimitError` when a cofactor above
+    ``TRIAL_DIVISION_BOUND**2`` has no divisor up to the bound.
 
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
@@ -89,6 +120,10 @@ def p_part(m: int, p: int) -> int:
         raise InvalidInputError(f"p_part undefined for {m}: positive integer required")
     if not is_prime(p):
         raise InvalidInputError(f"p_part needs a prime, got {p}")
+    return _p_power(m, p)
+
+
+def _p_power(m: int, p: int) -> int:
     q = 1
     while m % p == 0:
         m //= p
@@ -144,7 +179,7 @@ def unit_split(x: Fraction | int, primes: Iterable[int]) -> tuple[Fraction, Frac
     def split(m: int) -> tuple[int, int]:
         inside = 1
         for p in ps:
-            q = p_part(m, p)
+            q = _p_power(m, p)  # ps was validated by as_prime_set
             inside *= q
             m //= q
         return m, inside  # (coprime-to-P part, P-supported part)

@@ -1,8 +1,10 @@
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
+from wproj import classify
 from wproj.classify import (
     census,
     homeo_canonical_form,
@@ -141,11 +143,39 @@ class TestCensus:
     def test_workers_agree(self):
         assert census(2, 8, workers=2) == census(2, 8)
 
+    @pytest.mark.parametrize("workers, cpus, processes", [(64, 2, 2), (64, 16, 5), (3, 16, 3), (64, None, None), (2, 1, None)])
+    def test_worker_count_clamped(self, monkeypatch, workers, cpus, processes):
+        # a stand-in pool records the worker count and runs the slices in this process
+        started = []
+
+        class Pool:
+            def __init__(self, count):
+                started.append(count)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                assert chunksize == 1
+                return list(map(fn, items))
+
+        expected = census(1, 5)
+        monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(classify, "get_context", lambda: SimpleNamespace(Pool=Pool))
+        assert census(1, 5, workers=workers) == expected
+        assert started == ([processes] if processes else [])
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidInputError):
             census(-1, 3)
         with pytest.raises(InvalidInputError):
             census(1, 0)
+        for workers in (0, -1):
+            with pytest.raises(InvalidInputError):
+                census(1, 3, workers=workers)
 
     def test_dimension_zero(self):
         report = census(0, 9)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from wproj import classify
 from wproj.cli import main
 
 
@@ -158,6 +160,64 @@ class TestCensus:
         code, *_ = run_cli(capsys, "census", "--dim", "1", "--max-weight", "4")
         assert code == 0
 
+    def test_limit_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("WPROJ_CENSUS_LIMIT", "abc")
+        code, out, err = run_cli(capsys, "census", "--dim", "1", "--max-weight", "3")
+        assert code == 2 and out == ""
+        assert err == "wproj: invalid input: WPROJ_CENSUS_LIMIT must be an integer, got 'abc'\n"
+
+
+def old_census_layout(report, members):
+    """The census report as the dict tree that ``json.dumps(indent=2)`` used
+    to print; the oracle for the streaming writer."""
+    classes = []
+    for record in report.records:
+        entry = {
+            "representative": [str(x) for x in record.representative],
+            "homeo_class": [str(x) for x in record.homeo_class],
+            "homotopy_class": [str(x) for x in record.homotopy_class],
+            "size": len(record.members),
+        }
+        if members:
+            entry["members"] = [[str(x) for x in m] for m in record.members]
+        classes.append(entry)
+    return {
+        "schema_version": 1,
+        "command": "census",
+        "dimension": report.dimension,
+        "max_weight": report.max_weight,
+        "total": report.total,
+        "homeo_classes": report.homeo_classes,
+        "homotopy_classes": report.homotopy_classes,
+        "classes": classes,
+    }
+
+
+class TestCensusOutput:
+    # stdout of the dict-tree serializer, before census reports were streamed
+    GOLDEN = [
+        (("--dim", "2", "--max-weight", "20"), 220_661, "cb12a9ff5b4f59eb93c811b79ffd63dcaf03930f69f189719c4f8e7dcfabca40"),
+        (("--dim", "3", "--max-weight", "10", "--no-members"), 106_013, "378ec74a6f1f1827fc858f850c9ced0002bf5684402221a359f887a02835b2f3"),
+        (("--dim", "0", "--max-weight", "5"), 535, "e8668141f81e64d85b3688db8bb9a5ac049dfb67557422851e7fa289d4ac2657"),
+    ]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv, size, digest", GOLDEN)
+    def test_golden_stdout(self, capsys, argv, size, digest, workers):
+        code, out, err = run_cli(capsys, "census", *argv, "--workers", workers)
+        assert code == 0 and err == ""
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+    @pytest.mark.parametrize("members", [True, False])
+    @pytest.mark.parametrize("dim, max_weight", [(0, 7), (1, 12), (2, 9), (3, 6)])
+    def test_matches_indent_encoder(self, capsys, dim, max_weight, members):
+        argv = ["census", "--dim", str(dim), "--max-weight", str(max_weight)]
+        code, out, _ = run_cli(capsys, *argv, *([] if members else ["--no-members"]))
+        assert code == 0
+        expected = json.dumps(old_census_layout(classify.census(dim, max_weight), members), indent=2) + "\n"
+        assert out == expected
+
 
 class TestSplit:
     def test_example(self, capsys):
@@ -194,3 +254,66 @@ class TestDeterminism:
         second = run_cli(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+HUGE_PRIME = "1000000000000000000000000000057"  # 10**30 + 57, far past the trial-division bound
+
+
+class TestArgvFuzz:
+    """Malformed and extreme invocations end in a defined exit code, never a traceback."""
+
+    CASES = [
+        ([], {}, 2),
+        (["bogus"], {}, 2),
+        (["--help"], {}, 0),
+        (["normalize", ""], {}, 2),
+        (["normalize", " , "], {}, 2),
+        (["normalize", "1,,2"], {}, 2),
+        (["normalize", "0"], {}, 2),
+        (["normalize", "2,-4"], {}, 2),
+        (["normalize", "9" * 5000], {}, 2),
+        (["normalize", f"3,{HUGE_PRIME}"], {}, 3),
+        (["invariants", "0,1"], {}, 2),
+        (["invariants", f"2,{HUGE_PRIME}"], {}, 3),
+        (["compare", "1,2", ""], {}, 2),
+        (["compare", HUGE_PRIME, "1,2"], {}, 3),
+        (["lens", "0", "1,2"], {}, 2),
+        (["lens", "x", "1,2"], {}, 2),
+        (["lens", "2", f"1,{HUGE_PRIME}"], {}, 3),
+        (["stratum", "1,2,3", "--support", ""], {}, 2),
+        (["stratum", "1,2,3", "--support", "-1"], {}, 2),
+        (["stratum", f"2,{HUGE_PRIME}", "--support", "0"], {}, 3),
+        (["cells", "0"], {}, 2),
+        (["split", "0", "--primes", "2"], {}, 2),
+        (["split", "1/0", "--primes", "2"], {}, 2),
+        (["split", "6/5", "--primes", "2,9"], {}, 2),
+        (["split", "6/5", "--primes", ""], {}, 2),
+        (["split", "6/5", "--primes", HUGE_PRIME], {}, 3),
+        (["census", "--dim", "1", "--max-weight", "3", "--workers", "0"], {}, 2),
+        (["census", "--dim", "1", "--max-weight", "3", "--workers", "-1"], {}, 2),
+        (["census", "--dim", "1", "--max-weight", "1", "--workers", "1000000"], {}, 0),
+        (["census", "--dim", "-1", "--max-weight", "3"], {}, 2),
+        (["census", "--dim", "1", "--max-weight", "0"], {}, 2),
+        (["census", "--dim", "x", "--max-weight", "3"], {}, 2),
+        (["census", "--dim", "3", "--max-weight", "500"], {}, 3),
+        (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "abc"}, 2),
+        (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "-5"}, 3),
+        (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": ""}, 0),
+    ]
+
+    @pytest.mark.parametrize("argv, env, expected", CASES)
+    def test_exit_code(self, capsys, monkeypatch, argv, env, expected):
+        def no_pool():
+            raise AssertionError("the argv fuzz test must start no process pool")
+
+        monkeypatch.setattr(classify, "get_context", no_pool)
+        monkeypatch.delenv("WPROJ_CENSUS_LIMIT", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == expected, err
+        assert "Traceback" not in err

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wproj.errors import InvalidInputError, NotPLocalError
+from wproj.errors import InvalidInputError, NotPLocalError, ResourceLimitError
 from wproj.numth import (
+    TRIAL_DIVISION_BOUND,
     as_prime_set,
     factorize,
     is_p_local,
@@ -55,6 +56,39 @@ class TestFactorize:
         assert remultiply(f) == m
         assert all(e >= 1 for e in f.values())
         assert f == trial_factor(m)
+
+
+class TestTrialDivisionBound:
+    def test_everything_below_2_to_40_factors(self):
+        assert TRIAL_DIVISION_BOUND**2 == 2**40
+        largest_prime = 2**40 - 87
+        assert is_prime(largest_prime)
+        assert factorize(3 * largest_prime) == {3: 1, largest_prime: 1}
+        # two primes just below the bound
+        assert factorize(1048571 * 1048573) == {1048571: 1, 1048573: 1}
+        assert not is_prime(1048571 * 1048573)
+
+    def test_smooth_times_one_prime_below_2_to_40(self):
+        # the cofactor left after the primes up to the bound is at most 2**40
+        assert factorize(2**100 * 3**50 * 1000003) == {2: 100, 3: 50, 1000003: 1}
+        assert factorize(2**100 * 1048573 * (2**40 - 87)) == {2: 100, 1048573: 1, 2**40 - 87: 1}
+
+    @pytest.mark.parametrize("m", [10**30 + 57, 1048583 * 1048589, 2**40 + 15])
+    def test_refuses_cofactors_past_the_bound(self, m):
+        assert m > 2**40
+        with pytest.raises(ResourceLimitError):
+            factorize(m)
+        with pytest.raises(ResourceLimitError):
+            factorize(6 * m)
+        with pytest.raises(ResourceLimitError):
+            is_prime(m)
+
+    def test_huge_composite_with_small_divisor_is_not_prime(self):
+        assert not is_prime(3 * (10**30 + 57))
+
+    def test_unit_split_factors_nothing(self):
+        x = Fraction(12 * (10**30 + 57), 7)
+        assert unit_split(x, {2, 3}) == (Fraction(10**30 + 57, 7), Fraction(12))
 
 
 class TestPPart:
