@@ -11,7 +11,6 @@ with homotopy equivalence, so no separate predicate is exposed for it.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -107,6 +106,23 @@ def _classify_slice(args: tuple[int, int, int]) -> dict:
     return groups
 
 
+def _multiset_count(dimension: int, max_weight: int, limit: int) -> int:
+    """comb(max_weight + dimension, dimension + 1), or a smaller count above ``limit``.
+
+    The binomial is built term by term over the smaller of its two lower
+    indices; each partial binomial is at most the total, so the first one
+    above ``limit`` already decides the refusal and the cost stays bounded.
+    """
+    k = min(dimension + 1, max_weight - 1)
+    m = max_weight + dimension - k
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (m + i) // i
+        if count > limit:
+            break
+    return count
+
+
 def census(dimension: int, max_weight: int, limit: int | None = None, workers: int = 1) -> CensusReport:
     """Classify every weight multiset of length dimension+1 with entries <= max_weight.
 
@@ -114,7 +130,8 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
     homotopy-class form, and the refinement of the homotopy partition by the
     homeomorphism partition is verified during the merge.  Enumerations
     larger than ``limit`` (default 10**7 multisets) are refused up front with
-    a :class:`ResourceLimitError`.  ``workers`` > 1 splits the enumeration by
+    a :class:`ResourceLimitError`, whose ``required`` is then a lower bound
+    on the count.  ``workers`` > 1 splits the enumeration by
     first entry across at most ``min(workers, max_weight, os.cpu_count())``
     processes; the merged report is identical either way.
     """
@@ -126,11 +143,11 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
         raise InvalidInputError(f"max_weight must be positive, got {max_weight}")
     if limit is None:
         limit = DEFAULT_CENSUS_LIMIT
-    total = math.comb(max_weight + dimension, dimension + 1)
+    total = _multiset_count(dimension, max_weight, limit)
     if total > limit:
         raise ResourceLimitError(
             f"census of dimension {dimension}, max weight {max_weight} needs "
-            f"{total} vectors but the limit is {limit}",
+            f"at least {total} vectors but the limit is {limit}",
             required=total,
             limit=limit,
         )

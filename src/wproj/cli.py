@@ -25,6 +25,9 @@ from .numth import as_prime_set, unit_split
 
 SCHEMA_VERSION = 1
 
+# invariants reports list floor((n+2)**2/4) structure constants; about 630 weights
+MAX_STRUCTURE_CONSTANTS = 10**5
+
 
 def _wstr(values) -> list[str]:
     return [str(x) for x in values]
@@ -83,9 +86,25 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_invariants(args) -> int:
     w = weights.parse_weights(args.weights)
+    count = (len(w) + 1) ** 2 // 4
+    if count > MAX_STRUCTURE_CONSTANTS:
+        raise ResourceLimitError(
+            f"{len(w)} weights need {count} structure constants but the limit is {MAX_STRUCTURE_CONSTANTS}",
+            required=count,
+            limit=MAX_STRUCTURE_CONSTANTS,
+        )
     nw = weights.normalize(w)
     table = weights.p_content_table(nw)
     presentation = cohom.ring(nw)
+    # the top pullback coefficient bounds every number in the report;
+    # 0 digits, or an interpreter without the setting, means no limit
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and presentation.pullback[-1] >= 10**digits:
+        raise ResourceLimitError(
+            f"the top pullback coefficient has more than {digits} decimal digits, "
+            "the interpreter's limit for printing an integer",
+            limit=digits,
+        )
     constants = [
         {"i": i, "j": j, "value": str(presentation.constants[i, j])}
         for (i, j) in sorted(presentation.constants)
@@ -317,9 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # built on the first call and reused: parsing keeps no state in the
+    # parser, and every default is immutable
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -6,10 +6,13 @@ guarantees lowest terms and a positive denominator.  Prime sets are
 ``frozenset[int]``.  Everything here is a pure function on immutable values
 and safe to call concurrently.
 
-Factoring and primality testing are trial division by divisors up to
-``TRIAL_DIVISION_BOUND`` (2**20).  That settles every integer below 2**40 and,
-more generally, every product of primes up to the bound and at most one
-larger prime below 2**40.  When a cofactor above ``TRIAL_DIVISION_BOUND**2``
+Factoring and primality testing are trial division up to
+``TRIAL_DIVISION_BOUND`` (2**20): first by the primes below 2**16, sieved once
+at import, then by every odd number past them.  An odd composite past the
+sieve never divides, since its prime factors were divided out before it, so
+every entry below 2**32 is served from the prime table.  That settles every
+integer below 2**40 and, more generally, every product of primes up to the
+bound and at most one larger prime below 2**40.  When a cofactor above ``TRIAL_DIVISION_BOUND**2``
 is left without a known divisor, :class:`ResourceLimitError` is raised
 instead of searching on; there is deliberately no large-integer factoring
 machinery here.
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
+from math import isqrt
 from typing import Iterable
 
 from .errors import InvalidInputError, NotPLocalError, ResourceLimitError
@@ -36,10 +40,24 @@ __all__ = [
 ]
 
 TRIAL_DIVISION_BOUND = 1 << 20
+_SIEVE_BOUND = 1 << 16
+
+
+def _sieve(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), flags))
+
+
+_SMALL_PRIMES = _sieve(_SIEVE_BOUND)
 
 
 def _trial_divisors():
-    return chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2))
+    return chain(_SMALL_PRIMES, range(_SIEVE_BOUND + 1, TRIAL_DIVISION_BOUND + 1, 2))
 
 
 def _over_bound(m: int) -> ResourceLimitError:

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 from types import SimpleNamespace
@@ -135,6 +136,21 @@ class TestCensus:
         with pytest.raises(ResourceLimitError) as err:
             census(3, 500)
         assert err.value.required > err.value.limit
+
+    @pytest.mark.parametrize("dimension", range(6))
+    def test_budget_count_against_comb(self, dimension):
+        for max_weight in range(1, 25):
+            total = math.comb(max_weight + dimension, dimension + 1)
+            for limit in (-5, 0, 1, total - 1, total, total + 1, 10**7):
+                count = classify._multiset_count(dimension, max_weight, limit)
+                # exact within the budget, a lower bound past it
+                assert count == total if total <= limit else limit < count <= total
+
+    def test_budget_refusal_is_bounded(self):
+        # comb(2000000, 1000001) alone takes tens of seconds
+        with pytest.raises(ResourceLimitError) as err:
+            census(10**6, 10**6)
+        assert err.value.limit < err.value.required < 10**20
 
     def test_budget_override(self):
         report = census(1, 4, limit=10)

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
-from wproj import classify
+from wproj import classify, cli
 from wproj.cli import main
 
 
@@ -256,11 +257,72 @@ class TestDeterminism:
         assert first[0] == 0
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it changes no result."""
+
+    SEQUENCE = [
+        ["compare", "1,2,3,4", "1,1,2,12"],
+        ["lens", "2"],  # usage error
+        ["invariants", "8,12,18,30"],
+        ["--help"],
+        ["normalize", "1,x"],  # invalid input
+        ["census", "--dim", "1", "--max-weight", "3", "--table"],
+        ["compare", "--bogus", "1", "2"],  # usage error
+        ["split", "-4/9", "--primes", "2"],
+        ["invariants", "--help"],
+        ["stratum", "1,2,3,4", "--support", "1,3"],
+        ["lens", "x", "1,2"],  # usage error
+        ["normalize", "6,10,15"],
+    ]
+
+    @staticmethod
+    def run(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_built_once(self, capsys, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for argv in self.SEQUENCE * 2:
+            self.run(capsys, argv)
+        assert len(calls) == 1
+
+    def test_same_results_as_a_fresh_parser_per_call(self, capsys, monkeypatch):
+        fresh = []
+        for argv in self.SEQUENCE * 2:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(self.run(capsys, argv))
+        monkeypatch.setattr(cli, "_parser", None)
+        reused = [self.run(capsys, argv) for argv in self.SEQUENCE * 2]
+        assert reused == fresh
+        assert [code for code, *_ in fresh[:5]] == [0, 2, 0, 0, 2]
+
+
 HUGE_PRIME = "1000000000000000000000000000057"  # 10**30 + 57, far past the trial-division bound
+# parseable entries whose top pullback coefficient, 2**14000 * 3**9000, has 8,510 digits
+HUGE_POWERS = f"{2**14000},{3**9000},1"
 
 
 class TestArgvFuzz:
     """Malformed and extreme invocations end in a defined exit code, never a traceback."""
+
+    # refusals that must also come fast, before the work they refuse
+    BOUNDED = [
+        (["census", "--dim", "100000", "--max-weight", "100000"], {}, 3),
+        (["invariants", HUGE_POWERS], {}, 3),
+        (["invariants", ",".join(["1"] * 1000)], {}, 3),
+    ]
 
     CASES = [
         ([], {}, 2),
@@ -299,7 +361,7 @@ class TestArgvFuzz:
         (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "abc"}, 2),
         (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "-5"}, 3),
         (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": ""}, 0),
-    ]
+    ] + BOUNDED
 
     @pytest.mark.parametrize("argv, env, expected", CASES)
     def test_exit_code(self, capsys, monkeypatch, argv, env, expected):
@@ -317,3 +379,12 @@ class TestArgvFuzz:
         err = capsys.readouterr().err
         assert code == expected, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, env, expected", BOUNDED)
+    def test_refusal_is_fast(self, capsys, monkeypatch, argv, env, expected):
+        monkeypatch.delenv("WPROJ_CENSUS_LIMIT", raising=False)
+        start = time.perf_counter()
+        code = main(list(argv))
+        elapsed = time.perf_counter() - start
+        assert code == expected and capsys.readouterr().out == ""
+        assert elapsed < 1.0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from wproj import numth
 from wproj.errors import InvalidInputError, NotPLocalError, ResourceLimitError
 from wproj.numth import (
     TRIAL_DIVISION_BOUND,
@@ -56,6 +57,41 @@ class TestFactorize:
         assert remultiply(f) == m
         assert all(e >= 1 for e in f.values())
         assert f == trial_factor(m)
+
+
+# the primes on either side of the sieve bound 2**16
+PRIMES_NEAR_2_TO_16 = [p for p in range(2**16 - 300, 2**16 + 300) if trial_factor(p) == {p: 1}]
+
+
+class TestSievedPrimes:
+    def test_table_is_the_primes_below_2_to_16(self):
+        expected = tuple(p for p in range(2, 2**16) if trial_factor(p) == {p: 1})
+        assert numth._SMALL_PRIMES == expected
+        assert len(expected) == 6542 and expected[-1] == 65521
+
+    @pytest.mark.parametrize(
+        "m, factors",
+        [
+            (65521 * 65537, {65521: 1, 65537: 1}),
+            (65537**2, {65537: 2}),
+            (65537 * 65539, {65537: 1, 65539: 1}),
+            (4294967291, {4294967291: 1}),  # the largest prime below 2**32
+            (2**40 - 87, {2**40 - 87: 1}),  # the largest prime below 2**40
+        ],
+    )
+    def test_handoff_from_table_to_odd_numbers(self, m, factors):
+        assert all(trial_factor(p) == {p: 1} for p in factors)
+        assert factorize(m) == factors
+        assert is_prime(m) == (factors == {m: 1})
+
+    @given(
+        st.lists(st.sampled_from(SMALL_PRIMES), max_size=12),
+        st.sampled_from(PRIMES_NEAR_2_TO_16),
+    )
+    def test_smooth_times_a_prime_near_2_to_16(self, smooth, p):
+        m = math.prod(smooth) * p
+        assert factorize(m) == trial_factor(m)
+        assert is_prime(m) == (not smooth)
 
 
 class TestTrialDivisionBound:
