@@ -24,13 +24,10 @@ from .classify import (
 from .cohom import (
     RingPresentation,
     additive_cohomology,
-    endomorphism_multipliers,
     graded_ring_iso,
     lens_cohomology,
-    power_map_degree,
     pullback_coefficients,
     ring,
-    subset_lcm_sequence,
 )
 from .errors import (
     InconsistentDataError,

@@ -131,9 +131,11 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
     homeomorphism partition is verified during the merge.  Enumerations
     larger than ``limit`` (default 10**7 multisets) are refused up front with
     a :class:`ResourceLimitError`, whose ``required`` is then a lower bound
-    on the count.  ``workers`` > 1 splits the enumeration by
-    first entry across at most ``min(workers, max_weight, os.cpu_count())``
-    processes; the merged report is identical either way.
+    on the count; so are enumerations of more than ``4 * limit`` entries in
+    all (vectors times ``dimension + 1``).  ``workers`` > 1 splits the
+    enumeration by first entry across at most
+    ``min(workers, max_weight, os.cpu_count())`` processes; the merged
+    report is identical either way.
     """
     if workers < 1:
         raise InvalidInputError(f"workers must be at least 1, got {workers}")
@@ -150,6 +152,15 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
             f"at least {total} vectors but the limit is {limit}",
             required=total,
             limit=limit,
+        )
+    # vectors of at most 4 entries are charged by the vector budget alone
+    entries, entry_limit = total * (dimension + 1), 4 * limit
+    if entries > entry_limit:
+        raise ResourceLimitError(
+            f"census of dimension {dimension}, max weight {max_weight} needs {total} vectors "
+            f"of {dimension + 1} entries, {entries} in all, but the limit is {entry_limit} entries",
+            required=entries,
+            limit=entry_limit,
         )
 
     slices = [(first, dimension, max_weight) for first in range(1, max_weight + 1)]

@@ -94,6 +94,7 @@ def _cmd_invariants(args) -> int:
             limit=MAX_STRUCTURE_CONSTANTS,
         )
     nw = weights.normalize(w)
+    chain = weights.divisor_chain_form(nw)
     table = weights.p_content_table(nw)
     presentation = cohom.ring(nw)
     # the top pullback coefficient bounds every number in the report;
@@ -119,12 +120,13 @@ def _cmd_invariants(args) -> int:
                     str(p): {"parts": _wstr(col.parts), "sorted": _wstr(col.sorted_parts)}
                     for p, col in table.items()
                 },
-                "divisor_chain_form": _wstr(weights.divisor_chain_form(nw)),
+                "divisor_chain_form": _wstr(chain),
                 "pullback_coefficients": _wstr(presentation.pullback),
                 "structure_constants": constants,
                 "additive_cohomology": {str(d): str(o) for d, o in cohom.additive_cohomology(nw).items()},
-                "homeo_canonical_form": _wstr(classify.homeo_canonical_form(w)),
-                "homotopy_canonical_form": _wstr(classify.homotopy_canonical_form(w)),
+                # both canonical forms are read off the normalization
+                "homeo_canonical_form": _wstr(sorted(nw)),
+                "homotopy_canonical_form": _wstr(chain),
             },
         )
     )

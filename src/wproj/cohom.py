@@ -14,11 +14,7 @@ infinite cyclic group and order 1 a trivial one.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .errors import InvalidInputError
@@ -26,16 +22,11 @@ from .weights import as_weights, p_content_table
 
 __all__ = [
     "pullback_coefficients",
-    "subset_lcm_sequence",
     "RingPresentation",
     "ring",
     "additive_cohomology",
     "lens_cohomology",
     "graded_ring_iso",
-    "CONJUGATION",
-    "CONSTANT_MAP",
-    "power_map_degree",
-    "endomorphism_multipliers",
 ]
 
 
@@ -59,24 +50,6 @@ def pullback_coefficients(weights: Iterable[int]) -> tuple[int, ...]:
         for i in range(1, n + 1):
             acc *= sp[n - i + 1]
             out[i] *= acc
-    return tuple(out)
-
-
-def subset_lcm_sequence(weights: Iterable[int]) -> tuple[int, ...]:
-    """Independent route to the same sequence: lcm of i-subset products.
-
-    Entry i is the lcm, over all i-element index subsets, of the product of
-    the selected weights.  Exponential in the vector length; meant for
-    cross-checking :func:`pullback_coefficients`, not for production use.
-
-    >>> subset_lcm_sequence((1, 2, 3, 4))
-    (1, 12, 24, 24)
-    """
-    w = as_weights(weights)
-    n = len(w) - 1
-    out = [1]
-    for i in range(1, n + 1):
-        out.append(math.lcm(*(math.prod(w[j] for j in sel) for sel in combinations(range(n + 1), i))))
     return tuple(out)
 
 
@@ -185,33 +158,3 @@ def graded_ring_iso(a: RingPresentation, b: RingPresentation) -> bool:
     """
     return a.n == b.n and a.constants == b.constants
 
-
-# Degree markers for the two non-power self-maps with known degree.
-CONJUGATION = "conjugation"
-CONSTANT_MAP = "constant"
-
-
-def power_map_degree(a) -> int:
-    """Degree of a standard self-map on the degree-2 generator.
-
-    The coordinatewise a-th power map has degree a; complex conjugation on a
-    single coordinate (:data:`CONJUGATION`) has degree -1; constant maps
-    (:data:`CONSTANT_MAP`) have degree 0.
-    """
-    if a == CONJUGATION:
-        return -1
-    if a == CONSTANT_MAP:
-        return 0
-    return operator.index(a)
-
-
-def endomorphism_multipliers(a: Fraction | int, n: int) -> tuple[Fraction, ...]:
-    """Action of a degree-a self-map on H^0, H^2, ..., H^2n: (a^0, ..., a^n).
-
-    >>> endomorphism_multipliers(2, 3)
-    (Fraction(1, 1), Fraction(2, 1), Fraction(4, 1), Fraction(8, 1))
-    """
-    if n < 0:
-        raise InvalidInputError(f"dimension must be nonnegative, got {n}")
-    a = Fraction(a)
-    return tuple(a**k for k in range(n + 1))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InconsistentDataError, InvalidInputError
+from .errors import InconsistentDataError, InvalidInputError, ResourceLimitError
 from .numth import _factor_pairs, is_prime
 
 __all__ = [
@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 Weights = tuple[int, ...]
+
+# the valuation table holds one column of len(w) exponents per distinct prime;
+# 1,000 weights with 1,000 distinct primes fit
+MAX_VALUATION_CELLS = 10**6
 
 # A normalization move is either ("scale", d): divide every weight by the
 # common factor d, or ("reduce", p, i): divide every weight except the single
@@ -70,11 +74,24 @@ def parse_weights(text: str) -> Weights:
 
 
 def _valuations(w: Weights) -> dict[int, list[int]]:
-    """Exponent column of each prime dividing some weight (primes unordered)."""
+    """Exponent column of each prime dividing some weight (primes unordered).
+
+    Refused with :class:`ResourceLimitError` before the table would pass
+    ``MAX_VALUATION_CELLS`` cells.
+    """
     table: dict[int, list[int]] = {}
+    max_primes = MAX_VALUATION_CELLS // len(w)
     for i, x in enumerate(w):
         for p, e in _factor_pairs(x):
             if p not in table:
+                if len(table) == max_primes:
+                    cells = (max_primes + 1) * len(w)
+                    raise ResourceLimitError(
+                        f"{len(w)} weights with more than {max_primes} distinct primes need at least "
+                        f"{cells} valuation cells but the limit is {MAX_VALUATION_CELLS}",
+                        required=cells,
+                        limit=MAX_VALUATION_CELLS,
+                    )
                 table[p] = [0] * len(w)
             table[p][i] = e
     return table

@@ -1,11 +1,16 @@
 """Shared test helpers: box enumeration and independent oracles.
 
 The oracles here deliberately avoid the library code paths they are used to
-check: factoring is re-done by trial division and normalization is re-done
-by randomized rewriting.
+check: factoring is re-done by trial division, normalization is re-done by
+randomized rewriting, and the multiplier sequence is re-done without any
+factoring by :func:`subset_lcm_sequence` (lcm of subset products).
 """
 
-from itertools import combinations_with_replacement
+import math
+from itertools import combinations, combinations_with_replacement
+from typing import Iterable
+
+from wproj.weights import as_weights
 
 
 def sorted_vectors(length, max_entry):
@@ -31,6 +36,17 @@ def trial_factor(m):
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def first_primes(count):
+    """The first ``count`` primes, by trial division against the smaller ones."""
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
 
 
 def primes_dividing(values):
@@ -72,3 +88,22 @@ def randomized_normalize(w, rng):
         if not moves:
             return tuple(sorted(w))
         w = apply_move(w, moves[rng.randrange(len(moves))])
+
+
+def subset_lcm_sequence(weights: Iterable[int]) -> tuple[int, ...]:
+    """Independent route to the multiplier sequence: lcm of i-subset products.
+
+    Entry i is the lcm, over all i-element index subsets, of the product of
+    the selected weights.  Exponential in the vector length; meant for
+    cross-checking :func:`wproj.cohom.pullback_coefficients`, not for
+    production use.
+
+    >>> subset_lcm_sequence((1, 2, 3, 4))
+    (1, 12, 24, 24)
+    """
+    w = as_weights(weights)
+    n = len(w) - 1
+    out = [1]
+    for i in range(1, n + 1):
+        out.append(math.lcm(*(math.prod(w[j] for j in sel) for sel in combinations(range(n + 1), i))))
+    return tuple(out)

@@ -23,7 +23,6 @@ from wproj.cohom import (
     lens_cohomology,
     pullback_coefficients,
     ring,
-    subset_lcm_sequence,
 )
 from wproj.numth import is_p_local_unit, is_prime, unit_split
 from wproj.strata import local_homology_order
@@ -37,7 +36,7 @@ from wproj.weights import (
     reconstruct_weights,
 )
 
-from helpers import box, randomized_normalize, sorted_vectors, trial_factor
+from helpers import box, randomized_normalize, sorted_vectors, subset_lcm_sequence, trial_factor
 
 SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
 

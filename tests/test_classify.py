@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -151,6 +152,25 @@ class TestCensus:
         with pytest.raises(ResourceLimitError) as err:
             census(10**6, 10**6)
         assert err.value.limit < err.value.required < 10**20
+
+    def test_entry_budget(self):
+        # a vector of 4 entries is charged by the vector budget alone, a longer one is not
+        total = math.comb(6 + 3, 4)
+        assert census(3, 6, limit=total).total == total
+        with pytest.raises(ResourceLimitError) as err:
+            census(4, 5, limit=math.comb(5 + 4, 5))
+        assert err.value.required == 5 * math.comb(5 + 4, 5)
+        assert err.value.limit == 4 * math.comb(5 + 4, 5)
+
+    @pytest.mark.parametrize("dimension", [10_000, 100_000])
+    def test_entry_budget_refusal_is_fast(self, dimension):
+        # within the default vector budget, but 10**8 and 10**10 entries
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            census(dimension, 2)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.required == (dimension + 2) * (dimension + 1)
+        assert err.value.limit == 4 * classify.DEFAULT_CENSUS_LIMIT
 
     def test_budget_override(self):
         report = census(1, 4, limit=10)

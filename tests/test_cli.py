@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import random
 import time
 
 import pytest
 
 from wproj import classify, cli
 from wproj.cli import main
+
+from helpers import box, first_primes
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +86,14 @@ class TestInvariants:
         assert [int(x) for x in report["homotopy_canonical_form"]] == star
         degrees = sorted(int(d) for d in report["additive_cohomology"])
         assert degrees == [2 * i for i in range(len(normalized))]
+
+    def test_canonical_forms_match_classify(self, capsys):
+        rng = random.Random(12)
+        for w in box(3, 12):
+            w = rng.sample(w, len(w))
+            report = run_json(capsys, "invariants", ",".join(map(str, w)))
+            assert report["homeo_canonical_form"] == [str(x) for x in classify.homeo_canonical_form(w)]
+            assert report["homotopy_canonical_form"] == [str(x) for x in classify.homotopy_canonical_form(w)]
 
 
 class TestLens:
@@ -312,6 +323,8 @@ class TestParserReuse:
 HUGE_PRIME = "1000000000000000000000000000057"  # 10**30 + 57, far past the trial-division bound
 # parseable entries whose top pullback coefficient, 2**14000 * 3**9000, has 8,510 digits
 HUGE_POWERS = f"{2**14000},{3**9000},1"
+# 5,000 weights with 5,000 distinct primes: a 25-million-cell valuation table
+MANY_PRIMES = ",".join(map(str, first_primes(5000)))
 
 
 class TestArgvFuzz:
@@ -322,6 +335,7 @@ class TestArgvFuzz:
         (["census", "--dim", "100000", "--max-weight", "100000"], {}, 3),
         (["invariants", HUGE_POWERS], {}, 3),
         (["invariants", ",".join(["1"] * 1000)], {}, 3),
+        (["compare", MANY_PRIMES, "1,2"], {}, 3),
     ]
 
     CASES = [

@@ -1,28 +1,21 @@
 import math
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from wproj.cohom import (
-    CONJUGATION,
-    CONSTANT_MAP,
     RingPresentation,
     additive_cohomology,
-    endomorphism_multipliers,
     graded_ring_iso,
     lens_cohomology,
-    power_map_degree,
     pullback_coefficients,
     ring,
-    subset_lcm_sequence,
 )
 from wproj.errors import InvalidInputError
-from wproj.numth import is_p_local_unit
 from wproj.weights import divisor_chain_form, is_normalized, normalize
 
-from helpers import box, sorted_vectors
+from helpers import box, sorted_vectors, subset_lcm_sequence
 
 
 class TestPullbackCoefficients:
@@ -189,31 +182,3 @@ class TestGradedRingIso:
             # same form <=> same multiplier sequence on normalized vectors
             assert (rings[i].n == rings[j].n and rings[i].pullback == rings[j].pullback) == same_form
 
-
-class TestSelfMaps:
-    def test_power_map_degrees(self):
-        assert power_map_degree(1) == 1
-        assert power_map_degree(3) == 3
-        assert power_map_degree(CONJUGATION) == -1
-        assert power_map_degree(CONSTANT_MAP) == 0
-
-    def test_multiplier_examples(self):
-        assert endomorphism_multipliers(2, 3) == (1, 2, 4, 8)
-        assert endomorphism_multipliers(1, 4) == (1, 1, 1, 1, 1)
-        assert endomorphism_multipliers(Fraction(1, 3), 2) == (1, Fraction(1, 3), Fraction(1, 9))
-
-    def test_rejects_negative_dimension(self):
-        with pytest.raises(InvalidInputError):
-            endomorphism_multipliers(2, -1)
-
-    def test_unit_degree_iff_all_multipliers_units(self):
-        rng = random.Random(13)
-        primes = (2, 3, 5, 7, 11, 13)
-        for _ in range(300):
-            a = Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 40))
-            P = frozenset(rng.sample(primes, rng.randint(1, 3)))
-            if any(a.denominator % p == 0 for p in P):
-                continue
-            expected = is_p_local_unit(a, P)
-            multipliers = endomorphism_multipliers(a, 4)
-            assert all(is_p_local_unit(m, P) for m in multipliers[1:]) == expected

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wproj._kernels_py import canonical_pair
-from wproj.errors import InconsistentDataError, InvalidInputError
+from wproj.errors import InconsistentDataError, InvalidInputError, ResourceLimitError
 from wproj.numth import p_part
 from wproj.weights import (
+    MAX_VALUATION_CELLS,
     divisor_chain_form,
     divisor_count,
     is_divisor_chain,
@@ -22,7 +23,7 @@ from wproj.weights import (
     reconstruct_weights,
 )
 
-from helpers import apply_move, box, primes_dividing, randomized_normalize, sorted_vectors
+from helpers import apply_move, box, first_primes, primes_dividing, randomized_normalize, sorted_vectors
 
 weight_vectors = st.lists(st.integers(1, 60), min_size=1, max_size=5).map(tuple)
 
@@ -159,6 +160,29 @@ class TestClosedFormAgainstMoves:
         assert divisor_chain_form(w) == tuple(chain)
         assert canonical_pair(w) == (tuple(sorted(moved)), tuple(chain))
         assert is_normalized(moved) and is_normalized(w) == (moved == w)
+
+
+class TestValuationLimit:
+    """The per-prime valuation table is refused before it passes its cell bound."""
+
+    def test_boundary(self):
+        n = 10_000
+        k = MAX_VALUATION_CELLS // n
+        assert is_normalized(tuple(first_primes(k)) + (1,) * (n - k))
+        with pytest.raises(ResourceLimitError) as err:
+            is_normalized(tuple(first_primes(k + 1)) + (1,) * (n - k - 1))
+        assert (err.value.required, err.value.limit) == ((k + 1) * n, MAX_VALUATION_CELLS)
+
+    def test_thousand_distinct_primes_answer(self):
+        primes = tuple(first_primes(1000))
+        assert normalize(primes) == primes
+        assert divisor_chain_form(primes) == (1,) * 999 + (math.prod(primes),)
+
+    def test_every_entry_point_refuses(self):
+        w = tuple(first_primes(1001))
+        for f in (normalize, divisor_chain_form, is_normalized, p_content_table, normalize_with_moves, canonical_pair):
+            with pytest.raises(ResourceLimitError):
+                f(w)
 
 
 class TestPContent:
