@@ -6,12 +6,10 @@ rings and lens-space cohomology, local stratum data, and decides
 homeomorphism and homotopy equivalence through canonical forms; a census
 engine classifies whole boxes of weight vectors at once.
 
-All arithmetic is exact.  A compiled kernel accelerates the canonical-form
-hot path when available; ``backend_name()`` reports which kernel is active,
-and results never depend on it.
+All arithmetic is exact, and one pure-Python kernel computes the canonical
+forms for every input.
 """
 
-from ._backend import backend_name
 from .classify import (
     CensusReport,
     ClassRecord,
@@ -61,3 +59,8 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the canonical-form kernel: always "python", the only one."""
+    return "python"

@@ -1,8 +1,7 @@
-"""Pure-Python canonical-form kernel.
+"""The canonical-form kernel behind :mod:`wproj.classify`.
 
-Reference path for :mod:`wproj._backend`: arbitrary precision, no input
-bounds.  The compiled kernel must agree with this one wherever it accepts
-the input at all.
+Arbitrary precision; its only input bounds are the factoring bound of
+:mod:`wproj.numth` and the valuation-table bound of :mod:`wproj.weights`.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from itertools import combinations_with_replacement
 
-from . import _backend
+from . import _kernels_py
 from .errors import InvalidInputError, ResourceLimitError
 from .weights import Weights, as_weights
 
@@ -42,7 +42,7 @@ def homeo_canonical_form(weights: Iterable[int]) -> Weights:
     >>> homeo_canonical_form((2, 4, 6))
     (1, 2, 3)
     """
-    return _backend.canonical_pair(as_weights(weights))[0]
+    return _kernels_py.canonical_pair(as_weights(weights))[0]
 
 
 def homotopy_canonical_form(weights: Iterable[int]) -> Weights:
@@ -54,7 +54,7 @@ def homotopy_canonical_form(weights: Iterable[int]) -> Weights:
     >>> homotopy_canonical_form((1, 2, 3))
     (1, 1, 6)
     """
-    return _backend.canonical_pair(as_weights(weights))[1]
+    return _kernels_py.canonical_pair(as_weights(weights))[1]
 
 
 def homeomorphic(a: Iterable[int], b: Iterable[int]) -> bool:
@@ -95,7 +95,7 @@ def _classify_slice(args: tuple[int, int, int]) -> dict:
     groups: dict[Weights, tuple[Weights, list[Weights]]] = {}
     for tail in combinations_with_replacement(range(first, max_weight + 1), dim):
         v = (first,) + tail
-        homeo, homotopy = _backend.canonical_pair(v)
+        homeo, homotopy = _kernels_py.canonical_pair(v)
         entry = groups.get(homeo)
         if entry is None:
             groups[homeo] = (homotopy, [v])

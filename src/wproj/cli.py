@@ -25,8 +25,12 @@ from .numth import as_prime_set, unit_split
 
 SCHEMA_VERSION = 1
 
-# invariants reports list floor((n+2)**2/4) structure constants; about 630 weights
-MAX_STRUCTURE_CONSTANTS = 10**5
+# entries a report may list: floor((n+2)**2/4) structure constants for
+# invariants (about 630 weights), (n+1)(n+2) filtration entries for cells
+# (315 weights)
+MAX_REPORT_ENTRIES = 10**5
+
+_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
 
 def _wstr(values) -> list[str]:
@@ -38,10 +42,14 @@ def _frac(x: Fraction) -> str:
 
 
 def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise InvalidInputError(f"cannot parse rational from {text!r}") from None
+    # only [sign]p[/q]: Fraction also takes exponents, which makes
+    # "1e10000000" a ten-million-digit integer
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInputError(f"cannot parse rational from {text!r}")
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -84,15 +92,19 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+def _check_report_entries(w: weights.Weights, count: int, what: str) -> None:
+    """Refuse, before any work, a report that would list more than MAX_REPORT_ENTRIES."""
+    if count > MAX_REPORT_ENTRIES:
+        raise ResourceLimitError(
+            f"{len(w)} weights need {count} {what} but the limit is {MAX_REPORT_ENTRIES}",
+            required=count,
+            limit=MAX_REPORT_ENTRIES,
+        )
+
+
 def _cmd_invariants(args) -> int:
     w = weights.parse_weights(args.weights)
-    count = (len(w) + 1) ** 2 // 4
-    if count > MAX_STRUCTURE_CONSTANTS:
-        raise ResourceLimitError(
-            f"{len(w)} weights need {count} structure constants but the limit is {MAX_STRUCTURE_CONSTANTS}",
-            required=count,
-            limit=MAX_STRUCTURE_CONSTANTS,
-        )
+    _check_report_entries(w, (len(w) + 1) ** 2 // 4, "structure constants")
     nw = weights.normalize(w)
     chain = weights.divisor_chain_form(nw)
     table = weights.p_content_table(nw)
@@ -194,6 +206,7 @@ def _cmd_stratum(args) -> int:
 
 def _cmd_cells(args) -> int:
     w = weights.parse_weights(args.weights)
+    _check_report_entries(w, len(w) * (len(w) + 1), "filtration entries")
     decomposition = strata.cell_decomposition(w)
     _emit(
         _report(

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import wproj
 from wproj import classify
 from wproj.classify import (
     census,
@@ -26,11 +27,16 @@ class TestCanonicalForms:
         assert homeo_canonical_form((2, 4, 6)) == (1, 2, 3)
         assert homeo_canonical_form((4, 3, 2, 1)) == (1, 2, 3, 4)
         assert homeo_canonical_form((6, 10, 15)) == (1, 1, 1)
+        # entries past 64-bit products and vectors past 64 weights
+        assert homeo_canonical_form((2**40, 3 * 2**40, 5 * 2**40)) == (1, 3, 5)
+        assert homeo_canonical_form((1,) * 65) == (1,) * 65
 
     def test_homotopy_examples(self):
         assert homotopy_canonical_form((1, 2, 3, 4)) == (1, 1, 2, 12)
         assert homotopy_canonical_form((1, 2, 3)) == (1, 1, 6)
         assert homotopy_canonical_form((1, 1, 1)) == (1, 1, 1)
+        assert homotopy_canonical_form((2**40, 3 * 2**40, 5 * 2**40)) == (1, 1, 15)
+        assert homotopy_canonical_form((1,) * 65) == (1,) * 65
 
     def test_stability(self):
         rng = random.Random(17)
@@ -46,6 +52,11 @@ class TestCanonicalForms:
             assert homotopy_canonical_form(shuffled) == t
             assert homeo_canonical_form(h) == h
             assert homotopy_canonical_form(t) == t
+
+
+def test_backend_name_is_constant():
+    # public API kept for callers of the removed kernel selection
+    assert wproj.backend_name() == "python"
 
 
 class TestPredicates:

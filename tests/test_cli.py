@@ -135,6 +135,14 @@ class TestCells:
         code, _, err = run_cli(capsys, "cells", "1,2,3")
         assert code == 2 and "divisor chain" in err
 
+    def test_entry_budget(self, capsys):
+        # n weights list n(n+1) filtration weights: 315 * 316 <= 10**5 < 316 * 317
+        report = run_json(capsys, "cells", ",".join(["1"] * 315))
+        assert sum(len(s["subspace"]) + len(s["rescaled"]) for s in report["filtration"]) == 315 * 316
+        code, out, err = run_cli(capsys, "cells", ",".join(["1"] * 316))
+        assert code == 3 and out == ""
+        assert "316 weights need 100172 filtration entries but the limit is 100000" in err
+
 
 class TestCensus:
     def test_small_census(self, capsys):
@@ -250,6 +258,15 @@ class TestSplit:
         code, _, err = run_cli(capsys, "split", "x/y", "--primes", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1.5", "1e3", ".5", "1_000", "3/4.0", "2 / 3", "/3", "3/"])
+    def test_only_sign_numerator_denominator(self, capsys, text):
+        code, out, err = run_cli(capsys, "split", text, "--primes", "2")
+        assert code == 2 and out == "" and "cannot parse rational" in err
+
+    def test_surrounding_whitespace_and_sign(self, capsys):
+        report = run_json(capsys, "split", " +12/7 ", "--primes", "2")
+        assert report["input"] == "12/7" and report["supported"] == "4/1"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -336,6 +353,8 @@ class TestArgvFuzz:
         (["invariants", HUGE_POWERS], {}, 3),
         (["invariants", ",".join(["1"] * 1000)], {}, 3),
         (["compare", MANY_PRIMES, "1,2"], {}, 3),
+        (["split", "1e10000000", "--primes", "2"], {}, 2),
+        (["cells", ",".join(["1"] * 1000)], {}, 3),
     ]
 
     CASES = [
@@ -375,7 +394,10 @@ class TestArgvFuzz:
         (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "abc"}, 2),
         (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "-5"}, 3),
         (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": ""}, 0),
-    ] + BOUNDED
+    ] + BOUNDED + [
+        # after BOUNDED, so that earlier cases keep their ids
+        (["split", "1e5000", "--primes", "2"], {}, 2),
+    ]
 
     @pytest.mark.parametrize("argv, env, expected", CASES)
     def test_exit_code(self, capsys, monkeypatch, argv, env, expected):

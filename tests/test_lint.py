@@ -5,7 +5,8 @@ from pathlib import Path
 
 import wproj
 
-MODULES = sorted(Path(wproj.__file__).parent.glob("*.py"))
+PACKAGE = Path(wproj.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def test_modules_found():
@@ -21,3 +22,14 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_python_sources():
+    # a second kernel (.pyx, generated .c, built .so) comes back only through a
+    # reviewed change with its own tests, never as a stray file
+    others = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts and path.suffix != ".py"
+    ]
+    assert others == []
