@@ -1,37 +1,11 @@
-"""Backend selection for the canonical-form hot path.
+"""The canonical-form kernel under the name perfbench's tracer wraps.
 
-At import time the compiled kernel is preferred when it built successfully;
-``WPROJ_PURE_PYTHON=1`` in the environment forces the pure path.  Inputs the
-compiled kernel cannot represent (huge entries, very long vectors) fall back
-to pure Python call by call, so results are identical either way.
+``perfbench/tracer.py`` reports the ``kernel.canonical_pair.*`` metrics by
+wrapping ``wproj._backend.canonical_pair``.  This alias of the one pure
+kernel keeps those counters live; it goes once the harness wraps
+``_kernels_py.canonical_pair`` directly (ROADMAP item 1).
 """
 
-from __future__ import annotations
+from ._kernels_py import canonical_pair
 
-import os
-
-from . import _kernels_py
-
-_fast = None
-if os.environ.get("WPROJ_PURE_PYTHON", "0") not in ("1", "true", "yes"):
-    try:
-        from . import _kernels_cy as _fast  # type: ignore[no-redef]
-    except ImportError:
-        _fast = None
-
-BACKEND = "cython" if _fast is not None else "python"
-
-
-def backend_name() -> str:
-    """Name of the kernel serving canonical-form requests ("cython"/"python")."""
-    return BACKEND
-
-
-def canonical_pair(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sorted normalized vector, divisor-chain form), fastest available route."""
-    if _fast is not None:
-        try:
-            return _fast.canonical_pair(weights)
-        except OverflowError:
-            pass
-    return _kernels_py.canonical_pair(weights)
+__all__ = ["canonical_pair"]

@@ -206,7 +206,8 @@ def _cmd_stratum(args) -> int:
 
 def _cmd_cells(args) -> int:
     w = weights.parse_weights(args.weights)
-    _check_report_entries(w, len(w) * (len(w) + 1), "filtration entries")
+    if weights.is_divisor_chain(w):  # a non-chain is invalid input (exit 2) at any length
+        _check_report_entries(w, len(w) * (len(w) + 1), "filtration entries")
     decomposition = strata.cell_decomposition(w)
     _emit(
         _report(

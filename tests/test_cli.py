@@ -134,6 +134,9 @@ class TestCells:
     def test_non_chain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "cells", "1,2,3")
         assert code == 2 and "divisor chain" in err
+        # past the entry budget a non-chain is still invalid input, not a resource refusal
+        code, _, err = run_cli(capsys, "cells", ",".join(["1"] * 400 + ["3", "2"]))
+        assert code == 2 and "divisor chain" in err
 
     def test_entry_budget(self, capsys):
         # n weights list n(n+1) filtration weights: 315 * 316 <= 10**5 < 316 * 317
