@@ -52,16 +52,6 @@ def _parse_rational(text: str) -> Fraction:
     raise InvalidInputError(f"cannot parse rational from {text!r}")
 
 
-def _parse_ints(text: str, what: str) -> list[int]:
-    parts = [s.strip() for s in text.split(",")]
-    if parts == [""]:
-        raise InvalidInputError(f"empty {what}")
-    try:
-        return [int(s) for s in parts]
-    except ValueError:
-        raise InvalidInputError(f"cannot parse {what} from {text!r}") from None
-
-
 def _report(command: str, payload: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command, **payload}
 
@@ -164,8 +154,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_lens(args) -> int:
     w = weights.parse_weights(args.weights)
-    if args.k < 1:
-        raise InvalidInputError(f"group order k must be positive, got {args.k}")
     groups = cohom.lens_cohomology(args.k, w)
     _emit(
         _report(
@@ -182,7 +170,7 @@ def _cmd_lens(args) -> int:
 
 def _cmd_stratum(args) -> int:
     w = weights.parse_weights(args.weights)
-    support = _parse_ints(args.support, "support set")
+    support = weights._parse_ints(args.support, "support set")
     chart = strata.stratum_chart(w, support)
     normalized = weights.is_normalized(w)
     order = str(strata.local_homology_order(w, support)) if normalized else None
@@ -283,7 +271,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_split(args) -> int:
     x = _parse_rational(args.rational)
-    primes = as_prime_set(_parse_ints(args.primes, "prime set"))
+    primes = as_prime_set(weights._parse_ints(args.primes, "prime set"))
     u, v = unit_split(x, primes)
     _emit(
         _report(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidInputError
-from .weights import as_weights, p_content_table
+from .weights import _valuations, as_weights
 
 __all__ = [
     "pullback_coefficients",
@@ -33,23 +33,22 @@ __all__ = [
 def pullback_coefficients(weights: Iterable[int]) -> tuple[int, ...]:
     """The multiplier sequence of a weight vector, degree by degree.
 
-    Entry i is the product, over all primes p, of the i largest sorted
-    p-parts of the weights.  Entry 0 is the empty product 1, and each entry
-    divides the next.  The vector is used as given; it need not be
-    normalized (lens-space formulas feed augmented vectors through here).
+    Entry i is the product, over all primes p, of p raised to the sum of the
+    i largest p-valuations of the weights.  Entry 0 is the empty product 1,
+    and each entry divides the next.  The vector is used as given; it need
+    not be normalized (lens-space formulas feed augmented vectors through
+    here).
 
     >>> pullback_coefficients((1, 2, 3, 4))
     (1, 12, 24, 24)
     """
     w = as_weights(weights)
-    n = len(w) - 1
-    out = [1] * (n + 1)
-    for column in p_content_table(w).values():
-        sp = column.sorted_parts
-        acc = 1
-        for i in range(1, n + 1):
-            acc *= sp[n - i + 1]
-            out[i] *= acc
+    out = [1] * len(w)
+    for p, column in _valuations(w).items():
+        part = 1
+        for i, e in enumerate(sorted(column, reverse=True)[:-1], 1):
+            part *= p**e
+            out[i] *= part
     return tuple(out)
 
 

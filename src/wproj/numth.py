@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InvalidInputError, NotPLocalError, ResourceLimitError
 
@@ -68,6 +68,26 @@ def _over_bound(m: int) -> ResourceLimitError:
     )
 
 
+def _scan(m: int) -> Iterator[tuple[int, int]]:
+    """(prime, exponent) pairs of m >= 1 in ascending order, found lazily."""
+    n = m
+    for d in _trial_divisors():
+        if d * d > m:
+            break
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            yield d, e
+    # a cofactor this large means every divisor up to the bound was tried
+    # and m may still be a product of two primes above it
+    if m > TRIAL_DIVISION_BOUND**2:
+        raise _over_bound(n)
+    if m > 1:
+        yield m, 1
+
+
 def is_prime(m: int) -> bool:
     """Deterministic primality test by bounded trial division.
 
@@ -77,39 +97,14 @@ def is_prime(m: int) -> bool:
     >>> [p for p in range(20) if is_prime(p)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    if m < 2:
-        return False
-    for d in _trial_divisors():
-        if d * d > m:
-            return True
-        if m % d == 0:
-            return False
-    if m > TRIAL_DIVISION_BOUND**2:
-        raise _over_bound(m)
-    return True
+    # the scan stops at the smallest prime factor
+    return m >= 2 and next(_scan(m)) == (m, 1)
 
 
 # Fits every entry of a census in the default budget (dimension 1: up to 4471).
 @lru_cache(maxsize=1 << 13)
 def _factor_pairs(m: int) -> tuple[tuple[int, int], ...]:
-    n = m
-    pairs = []
-    for d in _trial_divisors():
-        if d * d > m:
-            break
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            pairs.append((d, e))
-    # a cofactor this large means every divisor up to the bound was tried
-    # and m may still be a product of two primes above it
-    if m > TRIAL_DIVISION_BOUND**2:
-        raise _over_bound(n)
-    if m > 1:
-        pairs.append((m, 1))
-    return tuple(pairs)
+    return tuple(_scan(m))
 
 
 def factorize(m: int) -> dict[int, int]:

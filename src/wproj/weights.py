@@ -2,10 +2,9 @@
 
 A weighted projective space is represented purely by its weight vector, a
 tuple of positive integers.  Normalized forms (computed in closed form),
-divisor-chain forms and p-content tables are all read from one table of
-per-prime valuations; the rewriting moves of :func:`normalize_with_moves`
-exist for reporting and as the test oracle.  Divisor counts reconstruct
-normalized weights from local data.
+divisor-chain forms, p-content tables and the move log of
+:func:`normalize_with_moves` are all read from one table of per-prime
+valuations.  Divisor counts reconstruct normalized weights from local data.
 
 All functions are pure; census drivers may call them from parallel workers.
 """
@@ -57,20 +56,24 @@ def as_weights(weights: Iterable[int]) -> Weights:
     return w
 
 
+def _parse_ints(text: str, what: str) -> list[int]:
+    """Parse comma-separated integers; ``what`` names the value in error messages."""
+    parts = [s.strip() for s in text.split(",")]
+    if parts == [""]:
+        raise InvalidInputError(f"empty {what}")
+    try:
+        return [int(s) for s in parts]
+    except ValueError:
+        raise InvalidInputError(f"cannot parse {what} from {text!r}") from None
+
+
 def parse_weights(text: str) -> Weights:
     """Parse a comma-separated weight vector such as "1,2,3,4".
 
     Leading and trailing whitespace around entries is ignored; an empty
     string is invalid.
     """
-    parts = [s.strip() for s in text.split(",")]
-    if parts == [""]:
-        raise InvalidInputError("empty weight vector")
-    try:
-        values = [int(s) for s in parts]
-    except ValueError:
-        raise InvalidInputError(f"cannot parse weight vector from {text!r}") from None
-    return as_weights(values)
+    return as_weights(_parse_ints(text, "weight vector"))
 
 
 def _valuations(w: Weights) -> dict[int, list[int]]:
@@ -134,20 +137,19 @@ def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
     Deterministic order: divide out the gcd first, then treat primes in
     ascending order, repeatedly dividing all weights but the unique p-coprime
     one by p until at least two weights are coprime to p.  Moves at one prime
-    never disturb another prime's content, so a single pass suffices.
+    never disturb another prime's content, so each prime's moves are read off
+    its valuation column: as many as its second-smallest valuation.
     """
-    w = list(as_weights(weights))
+    w = as_weights(weights)
     moves: list[Move] = []
-    g = math.gcd(*w)
+    g = math.gcd(*w)  # divided out unfactored
     if g > 1:
-        w = [x // g for x in w]
+        w = tuple(x // g for x in w)
         moves.append(("scale", g))
-    for p in sorted(_valuations(tuple(w))):
-        while len(coprime := [i for i, x in enumerate(w) if x % p]) == 1:
-            keep = coprime[0]
-            w = [x if i == keep else x // p for i, x in enumerate(w)]
-            moves.append(("reduce", p, keep))
-    return tuple(w), moves
+    for p, column in sorted(_valuations(w).items()):
+        # with the gcd gone every column holds a 0; a single weight is now (1,) and has none
+        moves += [("reduce", p, column.index(0))] * sorted(column)[1]
+    return _reduced_forms(w)[0], moves
 
 
 def normalize(weights: Iterable[int]) -> Weights:

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library code paths they are used to
 check: factoring is re-done by trial division, normalization is re-done by
-randomized rewriting, and the multiplier sequence is re-done without any
-factoring by :func:`subset_lcm_sequence` (lcm of subset products).
+deterministic and by randomized rewriting, and the multiplier sequence is
+re-done without any factoring by :func:`subset_lcm_sequence` (lcm of subset
+products).
 """
 
 import math
@@ -88,6 +89,27 @@ def randomized_normalize(w, rng):
         if not moves:
             return tuple(sorted(w))
         w = apply_move(w, moves[rng.randrange(len(moves))])
+
+
+def rewrite_normalize(weights):
+    """Normalize by the deterministic rewriting loop; returns (vector, moves).
+
+    Divides out the gcd first, then treats primes in ascending order,
+    repeatedly dividing all weights but the unique p-coprime one by p until
+    at least two weights are coprime to p.  One pass over the list per move.
+    """
+    w = list(as_weights(weights))
+    moves = []
+    g = math.gcd(*w)
+    if g > 1:
+        w = [x // g for x in w]
+        moves.append(("scale", g))
+    for p in primes_dividing(w):
+        while len(coprime := [i for i, x in enumerate(w) if x % p]) == 1:
+            keep = coprime[0]
+            w = [x if i == keep else x // p for i, x in enumerate(w)]
+            moves.append(("reduce", p, keep))
+    return tuple(w), moves
 
 
 def subset_lcm_sequence(weights: Iterable[int]) -> tuple[int, ...]:

@@ -400,6 +400,9 @@ class TestArgvFuzz:
     ] + BOUNDED + [
         # after BOUNDED, so that earlier cases keep their ids
         (["split", "1e5000", "--primes", "2"], {}, 2),
+        # the common factor is divided out unfactored
+        (["normalize", HUGE_PRIME], {}, 0),
+        (["normalize", f"{3 * int(HUGE_PRIME)},{5 * int(HUGE_PRIME)}"], {}, 0),
     ]
 
     @pytest.mark.parametrize("argv, env, expected", CASES)

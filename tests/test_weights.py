@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wproj._kernels_py import canonical_pair
 from wproj.errors import InconsistentDataError, InvalidInputError, ResourceLimitError
-from wproj.numth import p_part
+from wproj.numth import _factor_pairs, p_part
 from wproj.weights import (
     MAX_VALUATION_CELLS,
     divisor_chain_form,
@@ -23,7 +24,7 @@ from wproj.weights import (
     reconstruct_weights,
 )
 
-from helpers import apply_move, box, first_primes, primes_dividing, randomized_normalize, sorted_vectors
+from helpers import apply_move, box, first_primes, primes_dividing, randomized_normalize, rewrite_normalize, sorted_vectors
 
 weight_vectors = st.lists(st.integers(1, 60), min_size=1, max_size=5).map(tuple)
 
@@ -151,7 +152,8 @@ class TestClosedFormAgainstMoves:
     @example((2**33, 3 * 2**32, 5**14))  # entries above 2**32
     @example((1, 2**31, 3**20, 5**13, 7**11))  # chain product above 2**64
     def test_normal_and_chain_forms(self, w):
-        moved = normalize_with_moves(w)[0]
+        moved, moves = rewrite_normalize(w)
+        assert normalize_with_moves(w) == (moved, moves)
         assert normalize(w) == moved
         chain = [1] * len(w)
         for p in primes_dividing(moved):
@@ -160,6 +162,18 @@ class TestClosedFormAgainstMoves:
         assert divisor_chain_form(w) == tuple(chain)
         assert canonical_pair(w) == (tuple(sorted(moved)), tuple(chain))
         assert is_normalized(moved) and is_normalized(w) == (moved == w)
+
+
+    def test_move_log_costs_linear_time(self):
+        # the rewriting loop rebuilds all 201 weights once per move: 14,000 times
+        w = (1,) + (2**14000,) * 200
+        _factor_pairs.cache_clear()
+        start = time.perf_counter()
+        normalized, moves = normalize_with_moves(w)
+        elapsed = time.perf_counter() - start
+        assert normalized == (1,) * 201
+        assert moves == [("reduce", 2, 0)] * 14000
+        assert elapsed < 1.0
 
 
 class TestValuationLimit:
