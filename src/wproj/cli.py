@@ -7,20 +7,26 @@ strings to protect consumers from 64-bit overflow; structural values
 (indices, degrees-as-keys, dimensions, counts) stay JSON numbers.  The full
 schema is documented in the README.
 
+Reports are written by ``_encode``, a small recursive writer whose bytes are
+those of ``json.dumps(report, indent=2)``: the standard encoder falls back to
+pure Python whenever it indents, while ``_encode`` escapes strings with the C
+``json.encoder.encode_basestring_ascii``.  The census report is streamed
+class by class by ``_write_census`` in the same layout.
+
 Exit codes: 0 success, 2 invalid input, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
-from . import classify, cohom, strata, weights
-from .errors import InvalidInputError, ResourceLimitError
+from . import _kernels_py, classify, cohom, strata, weights
+from .errors import InvalidInputError, NotNormalizedError, ResourceLimitError
 from .numth import as_prime_set, unit_split
 
 SCHEMA_VERSION = 1
@@ -56,8 +62,37 @@ def _report(command: str, payload: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command, **payload}
 
 
+def _encode(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for str, int, bool, None, lists and str-keyed dicts.
+
+    Any other type raises :class:`TypeError`.  ``indent`` is the line break
+    and indentation that precede the value's closing bracket.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + indent + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(_encode(report) + "\n")
 
 
 def _move_json(move) -> dict:
@@ -95,10 +130,11 @@ def _check_report_entries(w: weights.Weights, count: int, what: str) -> None:
 def _cmd_invariants(args) -> int:
     w = weights.parse_weights(args.weights)
     _check_report_entries(w, (len(w) + 1) ** 2 // 4, "structure constants")
-    nw = weights.normalize(w)
-    chain = weights.divisor_chain_form(nw)
-    table = weights.p_content_table(nw)
-    presentation = cohom.ring(nw)
+    # every invariant below is read off one valuation table of the normalization
+    table = weights._normal_table(weights._valuations(w), len(w))
+    nw = weights._from_table(table, len(w))
+    chain = weights._from_table(table, len(w), ranked=True)
+    presentation = cohom._ring(cohom._pullback(table, len(w)))
     # the top pullback coefficient bounds every number in the report;
     # 0 digits, or an interpreter without the setting, means no limit
     digits = getattr(sys, "get_int_max_str_digits", int)()
@@ -119,8 +155,8 @@ def _cmd_invariants(args) -> int:
                 "input": _wstr(w),
                 "normalized": _wstr(nw),
                 "p_content": {
-                    str(p): {"parts": _wstr(col.parts), "sorted": _wstr(col.sorted_parts)}
-                    for p, col in table.items()
+                    str(p): {"parts": _wstr(p**e for e in column), "sorted": _wstr(p**e for e in sorted(column))}
+                    for p, column in table.items()
                 },
                 "divisor_chain_form": _wstr(chain),
                 "pullback_coefficients": _wstr(presentation.pullback),
@@ -138,14 +174,17 @@ def _cmd_invariants(args) -> int:
 def _cmd_compare(args) -> int:
     left = weights.parse_weights(args.left)
     right = weights.parse_weights(args.right)
+    # (homeo form, homotopy form) of each side, once
+    left_forms = _kernels_py.canonical_pair(left)
+    right_forms = _kernels_py.canonical_pair(right)
     _emit(
         _report(
             "compare",
             {
                 "left": _wstr(left),
                 "right": _wstr(right),
-                "homeomorphic": classify.homeomorphic(left, right),
-                "homotopy_equivalent": classify.homotopy_equivalent(left, right),
+                "homeomorphic": left_forms[0] == right_forms[0],
+                "homotopy_equivalent": left_forms[1] == right_forms[1],
             },
         )
     )
@@ -172,8 +211,10 @@ def _cmd_stratum(args) -> int:
     w = weights.parse_weights(args.weights)
     support = weights._parse_ints(args.support, "support set")
     chart = strata.stratum_chart(w, support)
-    normalized = weights.is_normalized(w)
-    order = str(strata.local_homology_order(w, support)) if normalized else None
+    try:
+        order = str(strata.local_homology_order(w, support))
+    except NotNormalizedError:
+        order = None
     _emit(
         _report(
             "stratum",
@@ -184,7 +225,7 @@ def _cmd_stratum(args) -> int:
                 "torus_rank": chart.torus_rank,
                 "cyclic_order": str(chart.cyclic_order),
                 "cone_weights": _wstr(chart.cone_weights),
-                "normalized": normalized,
+                "normalized": order is not None,
                 "local_homology_order": order,
             },
         )

@@ -15,7 +15,7 @@ infinite cyclic group and order 1 a trivial one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import InvalidInputError
 from .weights import _valuations, as_weights
@@ -43,8 +43,13 @@ def pullback_coefficients(weights: Iterable[int]) -> tuple[int, ...]:
     (1, 12, 24, 24)
     """
     w = as_weights(weights)
-    out = [1] * len(w)
-    for p, column in _valuations(w).items():
+    return _pullback(_valuations(w), len(w))
+
+
+def _pullback(table: Mapping[int, list[int]], length: int) -> tuple[int, ...]:
+    """The multiplier sequence read off a valuation table of ``length`` weights."""
+    out = [1] * length
+    for p, column in table.items():
         part = 1
         for i, e in enumerate(sorted(column, reverse=True)[:-1], 1):
             part *= p**e
@@ -96,15 +101,18 @@ def ring(weights: Iterable[int]) -> RingPresentation:
     >>> ring((1, 1, 2)).constant(1, 1)
     2
     """
-    w = as_weights(weights)
-    n = len(w) - 1
-    l = pullback_coefficients(w)
+    return _ring(pullback_coefficients(weights))
+
+
+def _ring(l: tuple[int, ...]) -> RingPresentation:
+    """The ring presentation with multiplier sequence ``l``."""
+    n = len(l) - 1
     constants = {}
     for i in range(n + 1):
         for j in range(i, n + 1 - i):
             q, r = divmod(l[i] * l[j], l[i + j])
             if r:
-                raise AssertionError(f"non-integral structure constant at ({i}, {j}) for {w}")
+                raise AssertionError(f"non-integral structure constant at ({i}, {j}) for multipliers {l}")
             constants[(i, j)] = q
     return RingPresentation(n, l, constants)
 
@@ -133,8 +141,10 @@ def lens_cohomology(k: int, weights: Iterable[int]) -> dict[int, int]:
     if k < 1:
         raise InvalidInputError(f"group order k must be positive, got {k}")
     n = len(w) - 1
-    plain = pullback_coefficients(w)
-    augmented = pullback_coefficients(w + (k,))
+    # one table of the augmented vector; the plain vector's columns drop its last cell
+    table = _valuations(w + (k,))
+    plain = _pullback({p: column[:-1] for p, column in table.items()}, len(w))
+    augmented = _pullback(table, len(w) + 1)
     groups: dict[int, int] = {0: 0}
     for i in range(1, n + 1):
         q, r = divmod(augmented[i], plain[i])

@@ -8,7 +8,9 @@ and safe to call concurrently.
 
 Factoring and primality testing are trial division up to
 ``TRIAL_DIVISION_BOUND`` (2**20): first by the primes below 2**16, sieved once
-at import, then by every odd number past them.  An odd composite past the
+at import, then by every odd number past them.  The primes are tried in blocks
+of 64 whose products are also taken at import: one ``gcd`` with a block's
+product passes over a block holding no divisor.  An odd composite past the
 sieve never divides, since its prime factors were divided out before it, so
 every entry below 2**32 is served from the prime table.  That settles every
 integer below 2**40 and, more generally, every product of primes up to the
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
-from math import isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError, NotPLocalError, ResourceLimitError
@@ -54,10 +56,14 @@ def _sieve(n: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(_SIEVE_BOUND)
-
-
-def _trial_divisors():
-    return chain(_SMALL_PRIMES, range(_SIEVE_BOUND + 1, TRIAL_DIVISION_BOUND + 1, 2))
+_BLOCK = 64
+# (divisors, their product) in ascending order; the odd numbers past the sieve
+# come last with product 0, which no m > 1 is coprime to, so they are never
+# passed over
+_TRIAL_BLOCKS = tuple(
+    (_SMALL_PRIMES[i : i + _BLOCK], prod(_SMALL_PRIMES[i : i + _BLOCK]))
+    for i in range(0, len(_SMALL_PRIMES), _BLOCK)
+) + ((range(_SIEVE_BOUND + 1, TRIAL_DIVISION_BOUND + 1, 2), 0),)
 
 
 def _over_bound(m: int) -> ResourceLimitError:
@@ -71,15 +77,20 @@ def _over_bound(m: int) -> ResourceLimitError:
 def _scan(m: int) -> Iterator[tuple[int, int]]:
     """(prime, exponent) pairs of m >= 1 in ascending order, found lazily."""
     n = m
-    for d in _trial_divisors():
-        if d * d > m:
+    for block, product in _TRIAL_BLOCKS:
+        if block[0] * block[0] > m:
             break
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            yield d, e
+        if gcd(m, product) == 1:
+            continue
+        for d in block:
+            if d * d > m:
+                break  # the next block's first divisor stops the scan
+            if m % d == 0:
+                e = 0
+                while m % d == 0:
+                    m //= d
+                    e += 1
+                yield d, e
     # a cofactor this large means every divisor up to the bound was tried
     # and m may still be a product of two primes above it
     if m > TRIAL_DIVISION_BOUND**2:

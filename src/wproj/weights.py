@@ -120,6 +120,30 @@ def _reduced_forms(w: Weights) -> tuple[Weights, Weights]:
     return tuple(normal), tuple(chain)
 
 
+def _normal_table(table: Mapping[int, list[int]], length: int) -> dict[int, list[int]]:
+    """Valuation table of the normalization, from that of ``length`` weights; ascending primes.
+
+    Each column is lowered as in :func:`_reduced_forms`; primes that no
+    longer divide any weight are dropped.
+    """
+    normal = {}
+    for p, column in sorted(table.items()):
+        floor = sorted(column)[min(1, length - 1)]
+        if max(column) > floor:
+            normal[p] = [e - floor if e > floor else 0 for e in column]
+    return normal
+
+
+def _from_table(table: Mapping[int, list[int]], length: int, ranked: bool = False) -> Weights:
+    """The vector with entry i the product of p**column[i]; ``ranked`` sorts each column first."""
+    out = [1] * length
+    for p, column in table.items():
+        for i, e in enumerate(sorted(column) if ranked else column):
+            if e:
+                out[i] *= p**e
+    return tuple(out)
+
+
 def is_normalized(weights: Iterable[int]) -> bool:
     """Whether every prime leaves at least two weights undivided.
 
@@ -146,10 +170,11 @@ def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
     if g > 1:
         w = tuple(x // g for x in w)
         moves.append(("scale", g))
-    for p, column in sorted(_valuations(w).items()):
+    table = _valuations(w)
+    for p, column in sorted(table.items()):
         # with the gcd gone every column holds a 0; a single weight is now (1,) and has none
         moves += [("reduce", p, column.index(0))] * sorted(column)[1]
-    return _reduced_forms(w)[0], moves
+    return _from_table(_normal_table(table, len(w)), len(w)), moves
 
 
 def normalize(weights: Iterable[int]) -> Weights:

@@ -5,8 +5,9 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from wproj import classify, cli
+from wproj import _kernels_py, classify, cli, cohom, weights
 from wproj.cli import main
 
 from helpers import box, first_primes
@@ -242,6 +243,74 @@ class TestCensusOutput:
         assert out == expected
 
 
+# every JSON type a report may hold; keys are strings, as in every report
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    """``cli._encode`` prints what ``json.dumps(indent=2)`` printed, for every report type."""
+
+    @given(json_values)
+    def test_matches_indent_encoder(self, value):
+        assert cli._encode(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"": [], "\u00e9\U0001f600": {}, '"\\': ["\x00\x1f\t\n\u2028"]},
+            [2**64 + 1, -(2**64), -1, 0, True, False, None, [[]], [{}]],
+        ],
+    )
+    def test_edge_cases(self, value):
+        assert cli._encode(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1, 2}, {"a": [0.0]}, [frozenset()]])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._encode(value)
+
+
+class TestWorkCounts:
+    """Each one-off query computes each intermediate once."""
+
+    @staticmethod
+    def count(monkeypatch, owners, name):
+        calls = []
+        original = getattr(owners[0], name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_compare_computes_each_side_once(self, capsys, monkeypatch):
+        calls = self.count(monkeypatch, [_kernels_py], "canonical_pair")
+        run_json(capsys, "compare", "1,2,3,4", "1,1,2,12")
+        assert calls == [((1, 2, 3, 4),), ((1, 1, 2, 12),)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invariants", "2,4,6,9"),
+            ("lens", "6", "2,4,6,9"),
+            ("normalize", "4,8,12,18"),
+            ("stratum", "1,2,3,4", "--support", "1,3"),
+            ("stratum", "2,4,6", "--support", "0,1"),
+        ],
+    )
+    def test_one_valuation_table(self, capsys, monkeypatch, argv):
+        calls = self.count(monkeypatch, [weights, cohom], "_valuations")
+        run_json(capsys, *argv)
+        assert len(calls) == 1
+
+
 class TestSplit:
     def test_example(self, capsys):
         report = run_json(capsys, "split", "6/5", "--primes", "2,3")
@@ -403,6 +472,8 @@ class TestArgvFuzz:
         # the common factor is divided out unfactored
         (["normalize", HUGE_PRIME], {}, 0),
         (["normalize", f"{3 * int(HUGE_PRIME)},{5 * int(HUGE_PRIME)}"], {}, 0),
+        # one valuation table of the weights and k together
+        (["lens", "2", MANY_PRIMES], {}, 3),
     ]
 
     @pytest.mark.parametrize("argv, env, expected", CASES)
@@ -430,3 +501,102 @@ class TestArgvFuzz:
         elapsed = time.perf_counter() - start
         assert code == expected and capsys.readouterr().out == ""
         assert elapsed < 1.0
+
+
+class TestGoldenReports:
+    """stdout, stderr and exit code of every one-off command on a fixed argv set.
+
+    The digest was taken with the ``json.dumps(indent=2)`` writer, before the
+    one-off commands shared their intermediate results.
+    """
+
+    ENTRIES = (1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 30, 36, 64, 210, 65521, 65537, 3 * 1048573, 2**32 - 5, 3**40, 2**61 - 1)
+    FIXED = [
+        [],
+        ["bogus"],
+        ["--help"],
+        ["compare", "--help"],
+        ["normalize"],
+        ["normalize", "1", "2"],
+        ["normalize", ""],
+        ["normalize", "1,,2"],
+        ["normalize", "2,-4"],
+        ["invariants", "0,1"],
+        ["invariants", "x"],
+        ["invariants", ",".join(["1"] * 700)],
+        ["compare", "1,2"],
+        ["compare", "1,2", ""],
+        ["compare", "1,2", "--bogus"],
+        ["lens", "2"],
+        ["lens", "x", "1,2"],
+        ["lens", "0", "1,2"],
+        ["lens", "-3", "1,2"],
+        ["lens", "2", "1,0"],
+        ["stratum", "1,2,3"],
+        ["stratum", "1,2,3", "--support", ""],
+        ["stratum", "1,2,3", "--support", "-1"],
+        ["stratum", "1,2,3", "--support", "0,x"],
+        ["cells", "1,2,3"],
+        ["cells", "0"],
+        ["split", "1/2"],
+        ["split", "1e5", "--primes", "2"],
+        ["split", "0", "--primes", "2"],
+        ["split", "1/0", "--primes", "2"],
+        ["split", "6/5", "--primes", "4"],
+        ["split", "6/5", "--primes", ""],
+        ["split", "-4/9", "--primes", "2,3"],
+    ]
+    COUNT = 500
+    DIGEST = "90caaebb6c58e2365fa46c5fefa3180fdd4367092fc3fac465b375c87e559efa"
+
+    @classmethod
+    def argv_set(cls):
+        rng = random.Random(19730510)
+
+        def vector(length=None):
+            return ",".join(str(rng.choice(cls.ENTRIES)) for _ in range(length or rng.randrange(1, 7)))
+
+        def chain():
+            x, out = 1, []
+            for _ in range(rng.randrange(1, 6)):
+                x *= rng.choice((1, 1, 2, 3, 5))
+                out.append(x)
+            return ",".join(map(str, out))
+
+        cases = list(cls.FIXED)
+        while len(cases) < cls.COUNT:
+            kind = rng.choice(("normalize", "invariants", "compare", "lens", "stratum", "cells", "split"))
+            if kind == "compare":
+                cases.append([kind, vector(), vector()])
+            elif kind == "lens":
+                cases.append([kind, str(rng.randrange(-1, 40)), vector()])
+            elif kind == "stratum":
+                length = rng.randrange(1, 6)
+                # index ``length`` is out of range, an invalid support
+                support = rng.sample(range(length + 1), rng.randrange(1, length + 1))
+                cases.append([kind, vector(length), "--support", ",".join(map(str, support))])
+            elif kind == "cells":
+                cases.append([kind, chain() if rng.random() < 0.7 else vector()])
+            elif kind == "split":
+                primes = rng.sample((2, 3, 4, 5, 7, 65521), rng.randrange(1, 4))
+                rational = f"{rng.randrange(-500, 500)}/{rng.randrange(0, 300)}"
+                cases.append([kind, rational, "--primes", ",".join(map(str, primes))])
+            else:
+                cases.append([kind, vector()])
+        return cases
+
+    def test_digest(self, capsys, monkeypatch):
+        monkeypatch.delenv("WPROJ_CENSUS_LIMIT", raising=False)
+        digest = hashlib.sha256()
+        for argv in self.argv_set():
+            try:
+                code = main(list(argv))
+                usage = False
+            except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+                code, usage = exc.code, True
+            out, err = capsys.readouterr()
+            if usage:
+                # argparse's wording differs between Python versions; wproj writes none of it
+                out, err = out[:12], err[:12]
+            digest.update(repr((argv, code, out, err)).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -94,6 +94,27 @@ class TestSievedPrimes:
         assert is_prime(m) == (not smooth)
 
 
+class TestTrialBlocks:
+    """The gcd with a block's product passes over exactly the blocks with no divisor."""
+
+    def test_blocks_cover_the_primes_then_the_odd_numbers(self):
+        *prime_blocks, (tail, tail_product) = numth._TRIAL_BLOCKS
+        assert tuple(p for block, _ in prime_blocks for p in block) == numth._SMALL_PRIMES
+        assert all(product == math.prod(block) for block, product in prime_blocks)
+        assert tail_product == 0 and tail[0] == 2**16 + 1
+
+    def test_every_block_edge(self):
+        blocks = [block for block, _ in numth._TRIAL_BLOCKS]
+        edges = [(a[-1], b[0]) for a, b in zip(blocks, blocks[1:])]
+        assert edges[-1] == (65521, 65537)
+        cases = [last * first for last, first in edges] + [65521**2]
+        for block in blocks:
+            square = block[0] ** 2
+            cases += [square - 1, square, square + 1]
+        for m in cases:
+            assert list(numth._scan(m)) == list(trial_factor(m).items()), m
+
+
 class TestTrialDivisionBound:
     def test_everything_below_2_to_40_factors(self):
         assert TRIAL_DIVISION_BOUND**2 == 2**40
