@@ -6,10 +6,11 @@ Arbitrary precision; its only input bounds are the factoring bound of
 
 from __future__ import annotations
 
-from .weights import _reduced_forms, as_weights
+from .weights import _reduced_forms, _valuations, as_weights
 
 
 def canonical_pair(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sorted normalized vector, divisor-chain form) of a weight vector."""
-    normal, chain = _reduced_forms(as_weights(weights))
+    w = as_weights(weights)
+    normal, chain = _reduced_forms(_valuations(w), len(w))
     return tuple(sorted(normal)), chain

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import _kernels_py, classify, cohom, strata, weights
 from .errors import InvalidInputError, NotNormalizedError, ResourceLimitError
-from .numth import as_prime_set, unit_split
+from .numth import _p_power, as_prime_set, unit_split
 
 SCHEMA_VERSION = 1
 
@@ -130,11 +130,12 @@ def _check_report_entries(w: weights.Weights, count: int, what: str) -> None:
 def _cmd_invariants(args) -> int:
     w = weights.parse_weights(args.weights)
     _check_report_entries(w, (len(w) + 1) ** 2 // 4, "structure constants")
-    # every invariant below is read off one valuation table of the normalization
-    table = weights._normal_table(weights._valuations(w), len(w))
-    nw = weights._from_table(table, len(w))
-    chain = weights._from_table(table, len(w), ranked=True)
-    presentation = cohom._ring(cohom._pullback(table, len(w)))
+    # every invariant below is read off one valuation table of the input
+    table = weights._valuations(w)
+    nw, chain = weights._reduced_forms(table, len(w))
+    presentation = cohom._ring(cohom._pullback(chain))
+    # the normalization's p-content, at each prime of the input that still divides it
+    p_content = {p: [_p_power(x, p) for x in nw] for p in sorted(table) if any(x % p == 0 for x in nw)}
     # the top pullback coefficient bounds every number in the report;
     # 0 digits, or an interpreter without the setting, means no limit
     digits = getattr(sys, "get_int_max_str_digits", int)()
@@ -155,8 +156,8 @@ def _cmd_invariants(args) -> int:
                 "input": _wstr(w),
                 "normalized": _wstr(nw),
                 "p_content": {
-                    str(p): {"parts": _wstr(p**e for e in column), "sorted": _wstr(p**e for e in sorted(column))}
-                    for p, column in table.items()
+                    str(p): {"parts": _wstr(parts), "sorted": _wstr(sorted(parts))}
+                    for p, parts in p_content.items()
                 },
                 "divisor_chain_form": _wstr(chain),
                 "pullback_coefficients": _wstr(presentation.pullback),

@@ -7,6 +7,8 @@ encoded by a sequence of positive integers: the i-th generator pulls back to
 ``pullback[i]`` times the i-th power of the standard generator under the
 coordinatewise power map from ordinary complex projective space, and products
 of generators carry integer structure constants derived from that sequence.
+The sequence is read off a divisor chain: entry i is the product of the
+chain's i largest entries, a running product over the chain reversed.
 
 Graded groups are plain ``dict[degree, order]`` where order 0 encodes an
 infinite cyclic group and order 1 a trivial one.
@@ -15,10 +17,12 @@ infinite cyclic group and order 1 a trivial one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import accumulate
+from operator import mul
+from typing import Iterable
 
 from .errors import InvalidInputError
-from .weights import _valuations, as_weights
+from .weights import _from_table, _valuations, as_weights
 
 __all__ = [
     "pullback_coefficients",
@@ -43,18 +47,12 @@ def pullback_coefficients(weights: Iterable[int]) -> tuple[int, ...]:
     (1, 12, 24, 24)
     """
     w = as_weights(weights)
-    return _pullback(_valuations(w), len(w))
+    return _pullback(_from_table(_valuations(w), len(w)))
 
 
-def _pullback(table: Mapping[int, list[int]], length: int) -> tuple[int, ...]:
-    """The multiplier sequence read off a valuation table of ``length`` weights."""
-    out = [1] * length
-    for p, column in table.items():
-        part = 1
-        for i, e in enumerate(sorted(column, reverse=True)[:-1], 1):
-            part *= p**e
-            out[i] *= part
-    return tuple(out)
+def _pullback(chain: tuple[int, ...]) -> tuple[int, ...]:
+    """The multiplier sequence of a divisor chain: running products of its largest entries."""
+    return (1, *accumulate(reversed(chain[1:]), mul))
 
 
 @dataclass(frozen=True, eq=True)
@@ -141,10 +139,10 @@ def lens_cohomology(k: int, weights: Iterable[int]) -> dict[int, int]:
     if k < 1:
         raise InvalidInputError(f"group order k must be positive, got {k}")
     n = len(w) - 1
-    # one table of the augmented vector; the plain vector's columns drop its last cell
+    # one table of the augmented vector; the plain vector's chain reads all but its last cell
     table = _valuations(w + (k,))
-    plain = _pullback({p: column[:-1] for p, column in table.items()}, len(w))
-    augmented = _pullback(table, len(w) + 1)
+    plain = _pullback(_from_table(table, len(w)))
+    augmented = _pullback(_from_table(table, len(w) + 1))
     groups: dict[int, int] = {0: 0}
     for i in range(1, n + 1):
         q, r = divmod(augmented[i], plain[i])

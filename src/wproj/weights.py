@@ -4,7 +4,10 @@ A weighted projective space is represented purely by its weight vector, a
 tuple of positive integers.  Normalized forms (computed in closed form),
 divisor-chain forms, p-content tables and the move log of
 :func:`normalize_with_moves` are all read from one table of per-prime
-valuations.  Divisor counts reconstruct normalized weights from local data.
+valuations.  One routine, ``_reduced_forms``, lowers that table into the
+normalized vector and the divisor-chain form; ``_from_table`` reads the raw,
+unlowered chain that multiplier sequences are built from.  Divisor counts
+reconstruct normalized weights from local data.
 
 All functions are pure; census drivers may call them from parallel workers.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, InvalidInputError, ResourceLimitError
-from .numth import _factor_pairs, is_prime
+from .numth import _factor_pairs, _p_power, is_prime
 
 __all__ = [
     "as_weights",
@@ -100,18 +103,19 @@ def _valuations(w: Weights) -> dict[int, list[int]]:
     return table
 
 
-def _reduced_forms(w: Weights) -> tuple[Weights, Weights]:
-    """(normalized vector, divisor-chain form) from one valuation table.
+def _reduced_forms(table: Mapping[int, list[int]], length: int) -> tuple[Weights, Weights]:
+    """(normalized vector, divisor-chain form) from the valuation table of ``length`` weights.
 
-    Normalizing lowers each prime's valuations by the second-smallest one
-    (the only one, for a single weight), floored at zero; being monotone, the
-    same reduction of the sorted column is that prime's divisor-chain share.
+    This is the one lowering: normalizing lowers each prime's valuations by
+    the second-smallest one (the only one, for a single weight), floored at
+    zero; being monotone, the same reduction of the sorted column is that
+    prime's divisor-chain share.
     """
-    normal = [1] * len(w)
-    chain = [1] * len(w)
-    for p, column in _valuations(w).items():
+    normal = [1] * length
+    chain = [1] * length
+    for p, column in table.items():
         ranked = sorted(column)
-        floor = ranked[min(1, len(w) - 1)]
+        floor = ranked[min(1, length - 1)]
         for i, (e, r) in enumerate(zip(column, ranked)):
             if e > floor:
                 normal[i] *= p ** (e - floor)
@@ -120,25 +124,14 @@ def _reduced_forms(w: Weights) -> tuple[Weights, Weights]:
     return tuple(normal), tuple(chain)
 
 
-def _normal_table(table: Mapping[int, list[int]], length: int) -> dict[int, list[int]]:
-    """Valuation table of the normalization, from that of ``length`` weights; ascending primes.
+def _from_table(table: Mapping[int, list[int]], length: int) -> Weights:
+    """Raw (unlowered) divisor chain of a valuation table's first ``length`` weights.
 
-    Each column is lowered as in :func:`_reduced_forms`; primes that no
-    longer divide any weight are dropped.
+    Entry i multiplies in p to the i-th smallest of their exponents at p.
     """
-    normal = {}
-    for p, column in sorted(table.items()):
-        floor = sorted(column)[min(1, length - 1)]
-        if max(column) > floor:
-            normal[p] = [e - floor if e > floor else 0 for e in column]
-    return normal
-
-
-def _from_table(table: Mapping[int, list[int]], length: int, ranked: bool = False) -> Weights:
-    """The vector with entry i the product of p**column[i]; ``ranked`` sorts each column first."""
     out = [1] * length
     for p, column in table.items():
-        for i, e in enumerate(sorted(column) if ranked else column):
+        for i, e in enumerate(sorted(column[:length])):
             if e:
                 out[i] *= p**e
     return tuple(out)
@@ -174,7 +167,7 @@ def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
     for p, column in sorted(table.items()):
         # with the gcd gone every column holds a 0; a single weight is now (1,) and has none
         moves += [("reduce", p, column.index(0))] * sorted(column)[1]
-    return _from_table(_normal_table(table, len(w)), len(w)), moves
+    return _reduced_forms(table, len(w))[0], moves
 
 
 def normalize(weights: Iterable[int]) -> Weights:
@@ -185,7 +178,8 @@ def normalize(weights: Iterable[int]) -> Weights:
     >>> normalize((6, 10, 15))
     (1, 1, 1)
     """
-    return _reduced_forms(as_weights(weights))[0]
+    w = as_weights(weights)
+    return _reduced_forms(_valuations(w), len(w))[0]
 
 
 def p_content(weights: Iterable[int], p: int) -> Weights:
@@ -197,7 +191,7 @@ def p_content(weights: Iterable[int], p: int) -> Weights:
     w = as_weights(weights)
     if not is_prime(p):
         raise InvalidInputError(f"p_content needs a prime, got {p}")
-    return tuple(p**e for e in _valuations(w).get(p, [0] * len(w)))
+    return tuple(_p_power(x, p) for x in w)
 
 
 @dataclass(frozen=True)
@@ -229,7 +223,8 @@ def divisor_chain_form(weights: Iterable[int]) -> Weights:
     >>> divisor_chain_form((1, 2, 3, 4))
     (1, 1, 2, 12)
     """
-    return _reduced_forms(as_weights(weights))[1]
+    w = as_weights(weights)
+    return _reduced_forms(_valuations(w), len(w))[1]
 
 
 def is_divisor_chain(weights: Iterable[int]) -> bool:

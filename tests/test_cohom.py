@@ -41,6 +41,14 @@ class TestPullbackCoefficients:
         for _ in range(1500):
             w = tuple(rng.randint(1, 100) for _ in range(rng.randint(1, 5)))
             assert pullback_coefficients(w) == subset_lcm_sequence(w)
+        # entries above 2^64: the first powers of 2, 3, 5, 7 and 65521 past 2^64, times small cofactors
+        big = (2**65, 3**41, 5**28, 7**23, 65521**5)
+        for _ in range(300):
+            w = tuple(
+                rng.choice(big) * rng.randint(1, 100) if rng.random() < 0.5 else rng.randint(1, 100)
+                for _ in range(rng.randint(1, 5))
+            )
+            assert pullback_coefficients(w) == subset_lcm_sequence(w)
 
     def test_divisibility_chain(self):
         for w in box(3, 12):
@@ -134,6 +142,17 @@ class TestLensCohomology:
             n = len(w) - 1
             assert set(groups) == {0, 2 * n + 1} | {2 * i for i in range(1, n + 1)}
             assert all(q >= 1 for d, q in groups.items() if d not in (0, 2 * n + 1))
+
+    def test_orders_match_subset_lcm_oracle(self):
+        rng = random.Random(11)
+        cases = [(k, w) for w in box(2, 10) for k in range(1, 13)]
+        for _ in range(500):
+            cases.append((rng.randint(1, 200), tuple(rng.randint(1, 100) for _ in range(rng.randint(1, 5)))))
+        for k, w in cases:
+            groups = lens_cohomology(k, w)
+            plain, augmented = subset_lcm_sequence(w), subset_lcm_sequence(w + (k,))
+            for i in range(1, len(w)):
+                assert groups[2 * i] == augmented[i] // plain[i]
 
     def test_circle_quotient(self):
         # a single weight gives the circle, whatever k is

@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -16,5 +17,11 @@ import wproj.weights
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+def test_readme_examples():
+    result = doctest.testfile(str(Path(__file__).parent.parent / "README.md"), module_relative=False)
     assert result.failed == 0
     assert result.attempted > 0

@@ -213,6 +213,11 @@ class TestPContent:
         with pytest.raises(InvalidInputError):
             p_content((1, 2), 6)
 
+    def test_unfactorable_weight(self):
+        # 10**30 + 57 leaves a cofactor past the factoring bound, but its 2-part needs one division
+        assert p_content((2, 10**30 + 57), 2) == (2, 1)
+        assert p_coprime_parts((2, 10**30 + 57), 2) == (1, 10**30 + 57)
+
     def test_table_example(self):
         table = p_content_table((1, 2, 3, 4))
         assert set(table) == {2, 3}
