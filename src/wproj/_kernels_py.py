@@ -6,11 +6,13 @@ Arbitrary precision; its only input bounds are the factoring bound of
 
 from __future__ import annotations
 
-from .weights import _reduced_forms, _valuations, as_weights
+from typing import Iterable
+
+from .weights import _forms, _valuations, as_weights
 
 
-def canonical_pair(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sorted normalized vector, divisor-chain form) of a weight vector."""
+def canonical_pair(weights: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sorted normalized vector, divisor-chain form) of a weight vector, validated here."""
     w = as_weights(weights)
-    normal, chain = _reduced_forms(_valuations(w), len(w))
+    normal, chain = _forms(w, _valuations(w))
     return tuple(sorted(normal)), chain

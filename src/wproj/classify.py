@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 
 from . import _kernels_py
 from .errors import InvalidInputError, ResourceLimitError
-from .weights import Weights, as_weights
+from .weights import Weights
 
 __all__ = [
     "homeo_canonical_form",
@@ -42,7 +42,7 @@ def homeo_canonical_form(weights: Iterable[int]) -> Weights:
     >>> homeo_canonical_form((2, 4, 6))
     (1, 2, 3)
     """
-    return _kernels_py.canonical_pair(as_weights(weights))[0]
+    return _kernels_py.canonical_pair(weights)[0]
 
 
 def homotopy_canonical_form(weights: Iterable[int]) -> Weights:
@@ -54,7 +54,7 @@ def homotopy_canonical_form(weights: Iterable[int]) -> Weights:
     >>> homotopy_canonical_form((1, 2, 3))
     (1, 1, 6)
     """
-    return _kernels_py.canonical_pair(as_weights(weights))[1]
+    return _kernels_py.canonical_pair(weights)[1]
 
 
 def homeomorphic(a: Iterable[int], b: Iterable[int]) -> bool:

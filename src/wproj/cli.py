@@ -132,7 +132,7 @@ def _cmd_invariants(args) -> int:
     _check_report_entries(w, (len(w) + 1) ** 2 // 4, "structure constants")
     # every invariant below is read off one valuation table of the input
     table = weights._valuations(w)
-    nw, chain = weights._reduced_forms(table, len(w))
+    nw, chain = weights._forms(w, table)
     presentation = cohom._ring(cohom._pullback(chain))
     # the normalization's p-content, at each prime of the input that still divides it
     p_content = {p: [_p_power(x, p) for x in nw] for p in sorted(table) if any(x % p == 0 for x in nw)}

@@ -1,12 +1,13 @@
 """Weight-vector calculus.
 
 A weighted projective space is represented purely by its weight vector, a
-tuple of positive integers.  Normalized forms (computed in closed form),
-divisor-chain forms, p-content tables and the move log of
-:func:`normalize_with_moves` are all read from one table of per-prime
-valuations.  One routine, ``_reduced_forms``, lowers that table into the
-normalized vector and the divisor-chain form; ``_from_table`` reads the raw,
-unlowered chain that multiplier sequences are built from.  Divisor counts
+tuple of positive integers.  Every invariant is read from one table of
+per-prime valuations.  ``_from_table`` reads the table's raw divisor chain,
+whose entry i multiplies in each prime to its i-th smallest valuation;
+multiplier sequences are built from that chain, and ``_forms`` derives both
+canonical forms from it, the normalized vector and the divisor-chain form.
+Only output that names a prime reads a valuation column: the move log of
+:func:`normalize_with_moves` and the p-content table.  Divisor counts
 reconstruct normalized weights from local data.
 
 All functions are pure; census drivers may call them from parallel workers.
@@ -103,29 +104,8 @@ def _valuations(w: Weights) -> dict[int, list[int]]:
     return table
 
 
-def _reduced_forms(table: Mapping[int, list[int]], length: int) -> tuple[Weights, Weights]:
-    """(normalized vector, divisor-chain form) from the valuation table of ``length`` weights.
-
-    This is the one lowering: normalizing lowers each prime's valuations by
-    the second-smallest one (the only one, for a single weight), floored at
-    zero; being monotone, the same reduction of the sorted column is that
-    prime's divisor-chain share.
-    """
-    normal = [1] * length
-    chain = [1] * length
-    for p, column in table.items():
-        ranked = sorted(column)
-        floor = ranked[min(1, length - 1)]
-        for i, (e, r) in enumerate(zip(column, ranked)):
-            if e > floor:
-                normal[i] *= p ** (e - floor)
-            if r > floor:
-                chain[i] *= p ** (r - floor)
-    return tuple(normal), tuple(chain)
-
-
 def _from_table(table: Mapping[int, list[int]], length: int) -> Weights:
-    """Raw (unlowered) divisor chain of a valuation table's first ``length`` weights.
+    """Raw divisor chain of a valuation table's first ``length`` weights.
 
     Entry i multiplies in p to the i-th smallest of their exponents at p.
     """
@@ -137,15 +117,31 @@ def _from_table(table: Mapping[int, list[int]], length: int) -> Weights:
     return tuple(out)
 
 
-def is_normalized(weights: Iterable[int]) -> bool:
-    """Whether every prime leaves at least two weights undivided.
+def _forms(w: Weights, table: Mapping[int, list[int]]) -> tuple[Weights, Weights]:
+    """(normalized vector, divisor-chain form) of ``w``, read off its raw divisor chain.
 
-    A single weight is normalized exactly when it equals 1 (the point).
+    The raw chain's second entry g is every prime raised to its
+    second-smallest valuation, exactly what normalization divides out at that
+    prime: the normalized entries are ``w_i // gcd(w_i, g)`` and the later
+    chain entries divided by g form the divisor-chain form.  A single weight
+    has g = w_0, so both forms are ``(1,)``.
+    """
+    c = _from_table(table, len(w))
+    g = c[min(1, len(w) - 1)]
+    return tuple(x // math.gcd(x, g) for x in w), (1, *(x // g for x in c[1:]))
+
+
+def is_normalized(weights: Iterable[int]) -> bool:
+    """Whether normalizing leaves the vector unchanged.
+
+    Equivalently, every prime leaves at least two weights undivided; a single
+    weight is normalized exactly when it equals 1 (the point).
 
     >>> is_normalized((1, 2, 3, 4)), is_normalized((1, 2, 4))
     (True, False)
     """
-    return all(column.count(0) >= 2 for column in _valuations(as_weights(weights)).values())
+    w = as_weights(weights)
+    return normalize(w) == w
 
 
 def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
@@ -167,7 +163,7 @@ def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
     for p, column in sorted(table.items()):
         # with the gcd gone every column holds a 0; a single weight is now (1,) and has none
         moves += [("reduce", p, column.index(0))] * sorted(column)[1]
-    return _reduced_forms(table, len(w))[0], moves
+    return _forms(w, table)[0], moves
 
 
 def normalize(weights: Iterable[int]) -> Weights:
@@ -179,7 +175,7 @@ def normalize(weights: Iterable[int]) -> Weights:
     (1, 1, 1)
     """
     w = as_weights(weights)
-    return _reduced_forms(_valuations(w), len(w))[0]
+    return _forms(w, _valuations(w))[0]
 
 
 def p_content(weights: Iterable[int], p: int) -> Weights:
@@ -224,7 +220,7 @@ def divisor_chain_form(weights: Iterable[int]) -> Weights:
     (1, 1, 2, 12)
     """
     w = as_weights(weights)
-    return _reduced_forms(_valuations(w), len(w))[1]
+    return _forms(w, _valuations(w))[1]
 
 
 def is_divisor_chain(weights: Iterable[int]) -> bool:

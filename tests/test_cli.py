@@ -306,9 +306,12 @@ class TestWorkCounts:
         ],
     )
     def test_one_valuation_table(self, capsys, monkeypatch, argv):
-        calls = self.count(monkeypatch, [weights, cohom], "_valuations")
+        tables = self.count(monkeypatch, [weights, cohom], "_valuations")
+        chains = self.count(monkeypatch, [weights, cohom], "_from_table")
         run_json(capsys, *argv)
-        assert len(calls) == 1
+        assert len(tables) == 1
+        # one raw chain per form; lens reads the plain and the k-augmented chain
+        assert len(chains) == (2 if argv[0] == "lens" else 1)
 
 
 class TestSplit:

@@ -151,6 +151,9 @@ class TestClosedFormAgainstMoves:
     @example(tuple(range(1, 66)))  # 65 weights
     @example((2**33, 3 * 2**32, 5**14))  # entries above 2**32
     @example((1, 2**31, 3**20, 5**13, 7**11))  # chain product above 2**64
+    @example((7,))  # g is the single weight itself
+    @example((12, 18))  # a two-entry chain
+    @example((6, 6, 6))  # g is the common gcd
     def test_normal_and_chain_forms(self, w):
         moved, moves = rewrite_normalize(w)
         assert normalize_with_moves(w) == (moved, moves)
