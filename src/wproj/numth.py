@@ -6,18 +6,19 @@ guarantees lowest terms and a positive denominator.  Prime sets are
 ``frozenset[int]``.  Everything here is a pure function on immutable values
 and safe to call concurrently.
 
-Factoring and primality testing are trial division up to
-``TRIAL_DIVISION_BOUND`` (2**20): first by the primes below 2**16, sieved once
-at import, then by every odd number past them.  The primes are tried in blocks
-of 64 whose products are also taken at import: one ``gcd`` with a block's
-product passes over a block holding no divisor.  An odd composite past the
-sieve never divides, since its prime factors were divided out before it, so
-every entry below 2**32 is served from the prime table.  That settles every
-integer below 2**40 and, more generally, every product of primes up to the
-bound and at most one larger prime below 2**40.  When a cofactor above ``TRIAL_DIVISION_BOUND**2``
-is left without a known divisor, :class:`ResourceLimitError` is raised
-instead of searching on; there is deliberately no large-integer factoring
-machinery here.
+Factoring is trial division up to ``TRIAL_DIVISION_BOUND`` (2**20): first by
+the primes below 2**16, sieved once at import, then by every odd number past
+them.  The primes are tried in blocks of 64 whose products are also taken at
+import: one ``gcd`` with a block's product passes over a block holding no
+divisor.  An odd composite past the sieve never divides, since its prime
+factors were divided out before it, so every entry below 2**32 is served from
+the prime table.  That settles every integer below 2**40 and, more generally,
+every product of primes up to the bound and at most one larger prime below
+2**40.  When a cofactor above ``TRIAL_DIVISION_BOUND**2`` is left without a
+known divisor, :class:`ResourceLimitError` is raised instead of searching on;
+there is deliberately no large-integer factoring machinery here.  Primality
+is Miller-Rabin to the first 13 prime bases, a proof below
+3,317,044,064,679,887,385,961,981 (Sorenson-Webster 2017).
 """
 
 from __future__ import annotations
@@ -100,16 +101,33 @@ def _scan(m: int) -> Iterator[tuple[int, int]]:
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic primality test by bounded trial division.
+    """Deterministic primality test: Miller-Rabin to the bases 2, 3, ..., 41.
 
-    Raises :class:`ResourceLimitError` for an m above ``TRIAL_DIVISION_BOUND**2``
-    with no divisor up to the bound.
+    Past 3,317,044,064,679,887,385,961,981 that is no proof, so an m with no
+    divisor up to ``TRIAL_DIVISION_BOUND`` raises :class:`ResourceLimitError`.
 
     >>> [p for p in range(20) if is_prime(p)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    # the scan stops at the smallest prime factor
-    return m >= 2 and next(_scan(m)) == (m, 1)
+    if m >= 3_317_044_064_679_887_385_961_981:
+        # the scan stops at the smallest prime factor
+        return next(_scan(m)) == (m, 1)
+    bases = _SMALL_PRIMES[:13]
+    if m <= bases[-1]:
+        return m in bases
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s with d odd
+    d = (m - 1) >> s
+    for a in bases:
+        x = pow(a, d, m)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
+            return False
+    return True
 
 
 # Fits every entry of a census in the default budget (dimension 1: up to 4471).

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidInputError, NotNormalizedError
-from .weights import Weights, as_weights, is_divisor_chain, is_normalized
+from .weights import Weights, _integers, as_weights, is_divisor_chain, is_normalized
 
 __all__ = [
     "StratumChart",
@@ -45,7 +45,7 @@ class StratumChart:
 
 
 def _check_support(w: Weights, support: Iterable[int]) -> tuple[int, ...]:
-    J = tuple(sorted(set(int(i) for i in support)))
+    J = tuple(sorted(set(_integers(support, "support indices"))))
     if not J:
         raise InvalidInputError("support set must be nonempty")
     if J[0] < 0 or J[-1] >= len(w):
@@ -81,13 +81,7 @@ def local_homology_order(weights: Iterable[int], support: Iterable[int]) -> int:
     w = as_weights(weights)
     if not is_normalized(w):
         raise NotNormalizedError(f"local homology orders need normalized weights, got {w}")
-    J = _check_support(w, support)
-    q = math.gcd(*(w[i] for i in J))
-    if len(J) >= len(w) - 1 and q != 1:
-        # cone factor is a point or a disk: the order is forced to 1, which
-        # normalization guarantees
-        raise AssertionError(f"normalized vector {w} has non-trivial gcd on {J}")
-    return q
+    return math.gcd(*(w[i] for i in _check_support(w, support)))
 
 
 def singular_subspace(weights: Iterable[int], d: int) -> Weights:

@@ -16,6 +16,7 @@ All functions are pure; census drivers may call them from parallel workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -50,9 +51,19 @@ MAX_VALUATION_CELLS = 10**6
 Move = tuple
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as ints by ``operator.index``: floats, strings and fractions are refused, not truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next((x for x in values if not hasattr(type(x), "__index__")), values)
+        raise InvalidInputError(f"{what} must be integers, got {bad!r}") from None
+
+
 def as_weights(weights: Iterable[int]) -> Weights:
-    """Validate and freeze a weight vector (length >= 1, entries >= 1)."""
-    w = tuple(int(x) for x in weights)
+    """Validate and freeze a weight vector (length >= 1, integer entries >= 1)."""
+    w = _integers(weights, "weights")
     if not w:
         raise InvalidInputError("weight vector must have at least one entry")
     if any(x < 1 for x in w):
@@ -246,9 +257,10 @@ def reconstruct_weights(counts: Mapping[int, int], max_weight: int) -> Weights:
 
     ``counts[d]`` must give, for every 1 <= d <= max_weight, the number of
     weights divisible by d.  Inclusion-exclusion downward from max_weight
-    yields the multiplicity of each value; the unique sorted tuple with those
-    multiplicities is returned.  Contradictory counts raise
-    :class:`InconsistentDataError`.
+    yields the multiplicity of each value, in O(max_weight * log max_weight)
+    steps; the unique sorted tuple with those multiplicities is returned.
+    Non-negative multiplicities reproduce every count by construction, so
+    only a negative one, or none at all, raises :class:`InconsistentDataError`.
     """
     if max_weight < 1:
         raise InvalidInputError(f"max_weight must be positive, got {max_weight}")
@@ -264,10 +276,6 @@ def reconstruct_weights(counts: Mapping[int, int], max_weight: int) -> Weights:
     result = tuple(m for m in range(1, max_weight + 1) for _ in range(multiplicity[m]))
     if not result:
         raise InconsistentDataError("counts describe an empty weight vector")
-    # certify uniqueness: the reconstruction must reproduce every count
-    for d in range(1, max_weight + 1):
-        if divisor_count(result, d) != counts[d]:
-            raise InconsistentDataError(f"counts are not the divisor counts of any weight vector (mismatch at d={d})")
     return result
 
 

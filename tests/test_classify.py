@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import random
 import time
 from itertools import permutations
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import wproj
-from wproj import classify
+from wproj import _kernels_py, classify
 from wproj.classify import (
     census,
     homeo_canonical_form,
@@ -99,6 +100,32 @@ class TestPredicates:
             assert reconstruct_weights(counts, max(nw)) == nw
 
 
+def stand_in_pool(monkeypatch, cpus):
+    """Report ``cpus`` processors and replace the process pool by one that runs the slices here.
+
+    Returns the list of worker counts the census asked for.
+    """
+    started = []
+
+    class Pool:
+        def __init__(self, count):
+            started.append(count)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            assert chunksize == 1
+            return list(map(fn, items))
+
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: SimpleNamespace(Pool=Pool))
+    return started
+
+
 class TestCensus:
     def test_single_point(self):
         report = census(1, 1)
@@ -124,17 +151,35 @@ class TestCensus:
         assert by_class == classes
 
     def test_record_invariants(self):
-        report = census(2, 10)
-        seen = []
-        for record in report.records:
-            assert record.representative == record.members[0]
-            assert record.homotopy_class == divisor_chain_form(record.homeo_class)
-            for member in record.members:
-                assert homeo_canonical_form(member) == record.homeo_class
-                assert homotopy_canonical_form(member) == record.homotopy_class
-            seen.extend(record.members)
-        assert len(seen) == len(set(seen)) == report.total
-        assert report.homotopy_classes == len({r.homotopy_class for r in report.records})
+        for dimension, max_weight, workers in [(2, 12, 1), (2, 12, 2), (3, 8, 1), (3, 8, 2)]:
+            report = census(dimension, max_weight, workers=workers)
+            seen = []
+            for record in report.records:
+                assert record.representative == record.members[0]
+                assert list(record.members) == sorted(record.members)
+                assert record.homotopy_class == divisor_chain_form(record.homeo_class)
+                for member in record.members:
+                    assert homeo_canonical_form(member) == record.homeo_class
+                    assert homotopy_canonical_form(member) == record.homotopy_class
+                seen.extend(record.members)
+            assert len(seen) == len(set(seen)) == report.total
+            assert report.homotopy_classes == len({r.homotopy_class for r in report.records})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    # (1, 2, 2) shares the slice of (1, 1, 1), its homeomorphism class; (2, 2, 2) does not
+    @pytest.mark.parametrize("moved", [(1, 2, 2), (2, 2, 2)])
+    def test_split_class_refused(self, monkeypatch, moved, workers):
+        pair = _kernels_py.canonical_pair
+
+        def wrapped(v):
+            homeo, homotopy = pair(v)
+            return homeo, (1, 1, 2) if v == moved else homotopy
+
+        started = stand_in_pool(monkeypatch, cpus=2)
+        monkeypatch.setattr(_kernels_py, "canonical_pair", wrapped)
+        with pytest.raises(AssertionError, match=r"class \(1, 1, 1\) split across homotopy classes"):
+            census(2, 4, workers=workers)
+        assert started == ([2] if workers == 2 else [])
 
     def test_refinement_verified_by_partitions(self):
         report = census(2, 12)
@@ -192,26 +237,8 @@ class TestCensus:
 
     @pytest.mark.parametrize("workers, cpus, processes", [(64, 2, 2), (64, 16, 5), (3, 16, 3), (64, None, None), (2, 1, None)])
     def test_worker_count_clamped(self, monkeypatch, workers, cpus, processes):
-        # a stand-in pool records the worker count and runs the slices in this process
-        started = []
-
-        class Pool:
-            def __init__(self, count):
-                started.append(count)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                assert chunksize == 1
-                return list(map(fn, items))
-
         expected = census(1, 5)
-        monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(classify, "get_context", lambda: SimpleNamespace(Pool=Pool))
+        started = stand_in_pool(monkeypatch, cpus)
         assert census(1, 5, workers=workers) == expected
         assert started == ([processes] if processes else [])
 

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+import wproj
 from wproj import _kernels_py, classify, cli, cohom, weights
 from wproj.cli import main
 
@@ -87,6 +92,19 @@ class TestInvariants:
         assert [int(x) for x in report["homotopy_canonical_form"]] == star
         degrees = sorted(int(d) for d in report["additive_cohomology"])
         assert degrees == [2 * i for i in range(len(normalized))]
+
+    def test_integer_print_limit(self, capsys):
+        # 452 and 430 digits; their product, the top pullback coefficient, has 882
+        argv = ["invariants", f"{2**1500},{3**900},1"]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, "") and "more than 640 decimal digits" in err
+            sys.set_int_max_str_digits(0)
+            assert run_cli(capsys, *argv)[0] == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_canonical_forms_match_classify(self, capsys):
         rng = random.Random(12)
@@ -412,6 +430,15 @@ class TestParserReuse:
         assert [code for code, *_ in fresh[:5]] == [0, 2, 0, 0, 2]
 
 
+def test_import_leaves_multiprocessing_out():
+    # only census(workers > 1) needs it, and importing it costs every process start-up
+    src = os.path.dirname(os.path.dirname(wproj.__file__))
+    code = "import sys, wproj.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "False\n"
+
+
 HUGE_PRIME = "1000000000000000000000000000057"  # 10**30 + 57, far past the trial-division bound
 # parseable entries whose top pullback coefficient, 2**14000 * 3**9000, has 8,510 digits
 HUGE_POWERS = f"{2**14000},{3**9000},1"
@@ -484,7 +511,7 @@ class TestArgvFuzz:
         def no_pool():
             raise AssertionError("the argv fuzz test must start no process pool")
 
-        monkeypatch.setattr(classify, "get_context", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         monkeypatch.delenv("WPROJ_CENSUS_LIMIT", raising=False)
         for key, value in env.items():
             monkeypatch.setenv(key, value)

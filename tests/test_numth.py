@@ -137,8 +137,12 @@ class TestTrialDivisionBound:
             factorize(m)
         with pytest.raises(ResourceLimitError):
             factorize(6 * m)
-        with pytest.raises(ResourceLimitError):
-            is_prime(m)
+        # primality needs no factor: only past the Miller-Rabin bound is it refused
+        if m > 3_317_044_064_679_887_385_961_981:
+            with pytest.raises(ResourceLimitError):
+                is_prime(m)
+        else:
+            assert is_prime(m) == (m == 2**40 + 15)
 
     def test_huge_composite_with_small_divisor_is_not_prime(self):
         assert not is_prime(3 * (10**30 + 57))
@@ -146,6 +150,41 @@ class TestTrialDivisionBound:
     def test_unit_split_factors_nothing(self):
         x = Fraction(12 * (10**30 + 57), 7)
         assert unit_split(x, {2, 3}) == (Fraction(10**30 + 57, 7), Fraction(12))
+
+
+class TestMillerRabin:
+    def test_agrees_with_trial_division(self):
+        flags = bytearray([0, 0]) + bytearray([1]) * (2**20 - 2)
+        for d in range(2, 2**10):
+            if flags[d]:
+                flags[d * d :: d] = bytes(len(range(d * d, 2**20, d)))
+        assert [m for m in range(2**20) if is_prime(m)] == [m for m in range(2**20) if flags[m]]
+        # below 2**40 a composite has a prime factor below 2**20
+        primes = [d for d in range(2**20) if flags[d]]
+        rng = random.Random(1108)
+        for _ in range(400):
+            m = rng.randrange(2**20, 2**40) | 1
+            assert is_prime(m) == all(m % d for d in primes if d * d <= m), m
+
+    def test_mersenne_prime_past_trial_division(self):
+        assert is_prime(2**61 - 1)
+        assert p_part(3 * (2**61 - 1) ** 2, 2**61 - 1) == (2**61 - 1) ** 2
+        # 193707721 * 761838257287: composite, though factoring it stays refused
+        assert not is_prime(2**67 - 1)
+        with pytest.raises(ResourceLimitError):
+            factorize(2**67 - 1)
+
+    @pytest.mark.parametrize(
+        "m, factors",
+        [
+            (3215031751, (151, 751, 28351)),  # strong pseudoprime to bases 2, 3, 5 and 7
+            (3825123056546413051, (149491, 747451, 34233211)),  # to every prime base up to 31
+            (318665857834031151167461, (399165290221, 798330580441)),  # to the first 12 primes
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, m, factors):
+        assert math.prod(factors) == m
+        assert not is_prime(m)
 
 
 class TestPPart:

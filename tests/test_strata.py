@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -43,6 +44,13 @@ class TestStratumChart:
             stratum_chart((1, 2, 3), (3,))
         with pytest.raises(InvalidInputError):
             stratum_chart((1, 2, 3), (-1,))
+
+    def test_integer_support_only(self):
+        assert stratum_chart((1, 2, 3), (True, 2)).support == (1, 2)
+        # 1.7 used to be truncated to index 1
+        for bad in (1.7, 1.0, "1"):
+            with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+                stratum_chart((1, 2, 3), (bad,))
 
     def test_rank_partition_law(self):
         for w in box(3, 8):

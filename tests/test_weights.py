@@ -1,16 +1,20 @@
 import math
 import random
+import re
 import time
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wproj._kernels_py import canonical_pair
+from wproj.classify import homeomorphic
 from wproj.errors import InconsistentDataError, InvalidInputError, ResourceLimitError
 from wproj.numth import _factor_pairs, p_part
 from wproj.weights import (
     MAX_VALUATION_CELLS,
+    as_weights,
     divisor_chain_form,
     divisor_count,
     is_divisor_chain,
@@ -59,6 +63,29 @@ class TestParsing:
         for bad in ("a,b", "1,,2", "1,0", "-1,2"):
             with pytest.raises(InvalidInputError):
                 parse_weights(bad)
+
+
+class Index:
+    """An integer type from another library: not an int, but it has ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestAsWeights:
+    def test_integer_entries_only(self):
+        assert as_weights((True, 2, Index(3))) == (1, 2, 3)
+        # each of these used to be truncated by int()
+        for bad in (2.5, 5.0, "3", Fraction(10, 2)):
+            with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+                as_weights((4, bad))
+        with pytest.raises(InvalidInputError):
+            normalize((2.5, 5))
+        with pytest.raises(InvalidInputError):
+            homeomorphic((2.9, 3), (2, 3))
 
 
 class TestIsNormalized:
@@ -328,6 +355,13 @@ class TestReconstruction:
     def test_missing_counts_rejected(self):
         with pytest.raises(InvalidInputError):
             reconstruct_weights({1: 2}, 3)
+
+    def test_cost_is_quasilinear(self):
+        # the weights 1..n: n // d of them are divisible by d
+        n = 20_000
+        start = time.perf_counter()
+        assert reconstruct_weights({d: n // d for d in range(1, n + 1)}, n) == tuple(range(1, n + 1))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPCoprimeParts:
