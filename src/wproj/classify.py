@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from itertools import combinations_with_replacement
 
@@ -68,8 +67,7 @@ def homotopy_equivalent(a: Iterable[int], b: Iterable[int]) -> bool:
     return homotopy_canonical_form(a) == homotopy_canonical_form(b)
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One homeomorphism class of a census: canonical forms and members."""
 
     representative: Weights
@@ -78,8 +76,7 @@ class ClassRecord:
     members: tuple[Weights, ...]
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Result of a census run over all weight multisets in a box."""
 
     dimension: int

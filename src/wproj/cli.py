@@ -7,11 +7,12 @@ strings to protect consumers from 64-bit overflow; structural values
 (indices, degrees-as-keys, dimensions, counts) stay JSON numbers.  The full
 schema is documented in the README.
 
-Reports are written by ``_encode``, a small recursive writer whose bytes are
-those of ``json.dumps(report, indent=2)``: the standard encoder falls back to
-pure Python whenever it indents, while ``_encode`` escapes strings with the C
-``json.encoder.encode_basestring_ascii``.  The census report is streamed
-class by class by ``_write_census`` in the same layout.
+Each report is laid out by f-strings in the bytes of ``json.dumps(report,
+indent=2)`` and written with one ``sys.stdout.write``: ``_array`` lays out a
+flat array, and nested records are joined from one template each.  No string
+needs escaping, since every one is built from integers, rationals and fixed
+names.  The census report is streamed class by class by ``_write_census`` in
+the same layout.
 
 Exit codes: 0 success, 2 invalid input, 3 resource limit exceeded.
 """
@@ -22,12 +23,14 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from . import _kernels_py, classify, cohom, strata, weights
 from .errors import InvalidInputError, NotNormalizedError, ResourceLimitError
 from .numth import _p_power, as_prime_set, unit_split
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SCHEMA_VERSION = 1
 
@@ -39,15 +42,13 @@ MAX_REPORT_ENTRIES = 10**5
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
 
-def _wstr(values) -> list[str]:
-    return [str(x) for x in values]
-
-
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
 def _parse_rational(text: str) -> Fraction:
+    from fractions import Fraction  # imported here: only split reads a rational
+
     # only [sign]p[/q]: Fraction also takes exponents, which makes
     # "1e10000000" a ten-million-digit integer
     if _RATIONAL.fullmatch(text):
@@ -58,61 +59,36 @@ def _parse_rational(text: str) -> Fraction:
     raise InvalidInputError(f"cannot parse rational from {text!r}")
 
 
-def _report(command: str, payload: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command, **payload}
+def _array(values, pad: str = "\n  ", quote: str = '"') -> str:
+    """``values`` as a JSON array of decimal strings, laid out as ``json.dumps(indent=2)`` does.
 
-
-def _encode(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for str, int, bool, None, lists and str-keyed dicts.
-
-    Any other type raises :class:`TypeError`.  ``indent`` is the line break
-    and indentation that precede the value's closing bracket.
+    ``pad`` is the line break and indentation before the closing bracket.
+    With an empty ``quote`` the entries are written as they print: numbers,
+    or records already laid out.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + indent + "]"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not values:
+        return "[]"
+    return f"[{pad}  {quote}" + f"{quote},{pad}  {quote}".join(map(str, values)) + f"{quote}{pad}]"
 
 
-def _emit(report: dict) -> None:
-    sys.stdout.write(_encode(report) + "\n")
-
-
-def _move_json(move) -> dict:
-    if move[0] == "scale":
-        return {"op": "scale", "divisor": str(move[1])}
-    return {"op": "reduce", "prime": str(move[1]), "fixed_index": move[2]}
+def _write(command: str, fields: str) -> None:
+    """Write one report: the schema header, then ``fields``, its remaining lines."""
+    sys.stdout.write(f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "command": "{command}",\n{fields}\n}}\n')
 
 
 def _cmd_normalize(args) -> int:
     w = weights.parse_weights(args.weights)
     normalized, moves = weights.normalize_with_moves(w)
-    _emit(
-        _report(
-            "normalize",
-            {
-                "input": _wstr(w),
-                "normalized": _wstr(normalized),
-                "moves": [_move_json(m) for m in moves],
-            },
-        )
+    pad = "\n      "
+    records = [
+        f'{{{pad}"op": "scale",{pad}"divisor": "{m[1]}"\n    }}'
+        if m[0] == "scale"
+        else f'{{{pad}"op": "reduce",{pad}"prime": "{m[1]}",{pad}"fixed_index": {m[2]}\n    }}'
+        for m in moves
+    ]
+    _write(
+        "normalize",
+        f'  "input": {_array(w)},\n  "normalized": {_array(normalized)},\n  "moves": {_array(records, quote="")}',
     )
     return 0
 
@@ -134,10 +110,8 @@ def _cmd_invariants(args) -> int:
     table = weights._valuations(w)
     nw, chain = weights._forms(w, table)
     presentation = cohom._ring(cohom._pullback(chain))
-    # the normalization's p-content, at each prime of the input that still divides it
-    p_content = {p: [_p_power(x, p) for x in nw] for p in sorted(table) if any(x % p == 0 for x in nw)}
     try:  # the top pullback coefficient bounds every number in the report
-        pullback = _wstr(presentation.pullback)
+        pullback = _array(presentation.pullback)
     except ValueError:
         digits = sys.get_int_max_str_digits()
         raise ResourceLimitError(
@@ -145,29 +119,26 @@ def _cmd_invariants(args) -> int:
             "the interpreter's limit for printing an integer",
             limit=digits,
         ) from None
-    constants = [
-        {"i": i, "j": j, "value": str(presentation.constants[i, j])}
-        for (i, j) in sorted(presentation.constants)
-    ]
-    _emit(
-        _report(
-            "invariants",
-            {
-                "input": _wstr(w),
-                "normalized": _wstr(nw),
-                "p_content": {
-                    str(p): {"parts": _wstr(parts), "sorted": _wstr(sorted(parts))}
-                    for p, parts in p_content.items()
-                },
-                "divisor_chain_form": _wstr(chain),
-                "pullback_coefficients": pullback,
-                "structure_constants": constants,
-                "additive_cohomology": {str(d): str(o) for d, o in cohom.additive_cohomology(nw).items()},
-                # both canonical forms are read off the normalization
-                "homeo_canonical_form": _wstr(sorted(nw)),
-                "homotopy_canonical_form": _wstr(chain),
-            },
-        )
+    # the normalization's p-content, at each prime of the input that still divides it
+    p_content = {p: [_p_power(x, p) for x in nw] for p in sorted(table) if any(x % p == 0 for x in nw)}
+    pad = "\n      "
+    columns = ",\n    ".join(
+        f'"{p}": {{{pad}"parts": {_array(parts, pad)},{pad}"sorted": {_array(sorted(parts), pad)}\n    }}'
+        for p, parts in p_content.items()
+    )
+    p_content_text = f"{{\n    {columns}\n  }}" if columns else "{}"
+    # _ring lists the constants in (i, j) order
+    constants = [f'{{{pad}"i": {i},{pad}"j": {j},{pad}"value": "{c}"\n    }}' for (i, j), c in presentation.constants.items()]
+    additive = ",\n    ".join(f'"{d}": "{o}"' for d, o in cohom.additive_cohomology(nw).items())
+    chain_form = _array(chain)
+    _write(
+        "invariants",
+        f'  "input": {_array(w)},\n  "normalized": {_array(nw)},\n'
+        f'  "p_content": {p_content_text},\n'
+        f'  "divisor_chain_form": {chain_form},\n  "pullback_coefficients": {pullback},\n'
+        f'  "structure_constants": {_array(constants, quote="")},\n  "additive_cohomology": {{\n    {additive}\n  }},\n'
+        # both canonical forms are read off the normalization
+        f'  "homeo_canonical_form": {_array(sorted(nw))},\n  "homotopy_canonical_form": {chain_form}',
     )
     return 0
 
@@ -178,33 +149,19 @@ def _cmd_compare(args) -> int:
     # (homeo form, homotopy form) of each side, once
     left_forms = _kernels_py.canonical_pair(left)
     right_forms = _kernels_py.canonical_pair(right)
-    _emit(
-        _report(
-            "compare",
-            {
-                "left": _wstr(left),
-                "right": _wstr(right),
-                "homeomorphic": left_forms[0] == right_forms[0],
-                "homotopy_equivalent": left_forms[1] == right_forms[1],
-            },
-        )
+    _write(
+        "compare",
+        f'  "left": {_array(left)},\n  "right": {_array(right)},\n'
+        f'  "homeomorphic": {str(left_forms[0] == right_forms[0]).lower()},\n'
+        f'  "homotopy_equivalent": {str(left_forms[1] == right_forms[1]).lower()}',
     )
     return 0
 
 
 def _cmd_lens(args) -> int:
     w = weights.parse_weights(args.weights)
-    groups = cohom.lens_cohomology(args.k, w)
-    _emit(
-        _report(
-            "lens",
-            {
-                "k": str(args.k),
-                "weights": _wstr(w),
-                "groups": {str(d): str(o) for d, o in sorted(groups.items())},
-            },
-        )
-    )
+    groups = ",\n    ".join(f'"{d}": "{o}"' for d, o in sorted(cohom.lens_cohomology(args.k, w).items()))
+    _write("lens", f'  "k": "{args.k}",\n  "weights": {_array(w)},\n  "groups": {{\n    {groups}\n  }}')
     return 0
 
 
@@ -213,23 +170,15 @@ def _cmd_stratum(args) -> int:
     support = weights._parse_ints(args.support, "support set")
     chart = strata.stratum_chart(w, support)
     try:
-        order = str(strata.local_homology_order(w, support))
+        normalized, order = "true", f'"{strata.local_homology_order(w, support)}"'
     except NotNormalizedError:
-        order = None
-    _emit(
-        _report(
-            "stratum",
-            {
-                "weights": _wstr(w),
-                "support": list(chart.support),
-                "zero_set": list(chart.zero_set),
-                "torus_rank": chart.torus_rank,
-                "cyclic_order": str(chart.cyclic_order),
-                "cone_weights": _wstr(chart.cone_weights),
-                "normalized": order is not None,
-                "local_homology_order": order,
-            },
-        )
+        normalized, order = "false", "null"
+    _write(
+        "stratum",
+        f'  "weights": {_array(w)},\n  "support": {_array(chart.support, quote="")},\n'
+        f'  "zero_set": {_array(chart.zero_set, quote="")},\n  "torus_rank": {chart.torus_rank},\n'
+        f'  "cyclic_order": "{chart.cyclic_order}",\n  "cone_weights": {_array(chart.cone_weights)},\n'
+        f'  "normalized": {normalized},\n  "local_homology_order": {order}',
     )
     return 0
 
@@ -239,18 +188,15 @@ def _cmd_cells(args) -> int:
     if weights.is_divisor_chain(w):  # a non-chain is invalid input (exit 2) at any length
         _check_report_entries(w, len(w) * (len(w) + 1), "filtration entries")
     decomposition = strata.cell_decomposition(w)
-    _emit(
-        _report(
-            "cells",
-            {
-                "weights": _wstr(decomposition.weights),
-                "cells": list(decomposition.cells),
-                "filtration": [
-                    {"subspace": _wstr(step.subspace), "rescaled": _wstr(step.rescaled)}
-                    for step in decomposition.filtration
-                ],
-            },
-        )
+    pad = "\n      "
+    steps = [
+        f'{{{pad}"subspace": {_array(step.subspace, pad)},{pad}"rescaled": {_array(step.rescaled, pad)}\n    }}'
+        for step in decomposition.filtration
+    ]
+    _write(
+        "cells",
+        f'  "weights": {_array(decomposition.weights)},\n  "cells": {_array(decomposition.cells, quote="")},\n'
+        f'  "filtration": {_array(steps, quote="")}',
     )
     return 0
 
@@ -276,7 +222,7 @@ def _census_table(report: classify.CensusReport) -> str:
 
 
 def _write_census(report: classify.CensusReport, members: bool) -> None:
-    """Stream the census report class by class, byte-identical to ``_emit`` on the same fields."""
+    """Stream the census report class by class, in the layout of every other report."""
     vector = "[\n" + ",\n".join(['        "%d"'] * (report.dimension + 1)) + "\n      ]"
     member = "[\n" + ",\n".join(['          "%d"'] * (report.dimension + 1)) + "\n        ]"
     sys.stdout.write(
@@ -315,16 +261,10 @@ def _cmd_split(args) -> int:
     x = _parse_rational(args.rational)
     primes = as_prime_set(weights._parse_ints(args.primes, "prime set"))
     u, v = unit_split(x, primes)
-    _emit(
-        _report(
-            "split",
-            {
-                "input": _frac(x),
-                "primes": _wstr(sorted(primes)),
-                "unit": _frac(u),
-                "supported": _frac(v),
-            },
-        )
+    _write(
+        "split",
+        f'  "input": "{_frac(x)}",\n  "primes": {_array(sorted(primes))},\n'
+        f'  "unit": "{_frac(u)}",\n  "supported": "{_frac(v)}"',
     )
     return 0
 

@@ -16,12 +16,12 @@ infinite cyclic group and order 1 a trivial one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError
+from .numth import _integer
 from .weights import _from_table, _valuations, as_weights
 
 __all__ = [
@@ -55,8 +55,13 @@ def _pullback(chain: tuple[int, ...]) -> tuple[int, ...]:
     return (1, *accumulate(reversed(chain[1:]), mul))
 
 
-@dataclass(frozen=True, eq=True)
-class RingPresentation:
+class _RingFields(NamedTuple):
+    n: int
+    pullback: tuple[int, ...]
+    constants: dict[tuple[int, int], int]
+
+
+class RingPresentation(_RingFields):
     """The cohomology ring of a weighted projective space of dimension n.
 
     Generators g_0 = 1, g_1, ..., g_n sit in degrees 0, 2, ..., 2n;
@@ -66,22 +71,25 @@ class RingPresentation:
     (i <= j); use :meth:`constant` for symmetric access.
     """
 
-    n: int
-    pullback: tuple[int, ...]
-    constants: dict[tuple[int, int], int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        l = self.pullback
-        if len(l) != self.n + 1 or l[0] != 1 or min(l) < 1:
+    def __new__(cls, n: int, pullback: tuple[int, ...], constants: dict[tuple[int, int], int]):
+        l = pullback
+        if len(l) != n + 1 or l[0] != 1 or min(l) < 1:
             raise InvalidInputError("pullback sequence must start at 1 with n+1 positive entries")
         if any(b % a for a, b in zip(l, l[1:])):
             raise InvalidInputError("pullback sequence must be a divisor chain")
-        expected = {(i, j) for i in range(self.n + 1) for j in range(i, self.n + 1 - i)}
-        if set(self.constants) != expected:
+        expected = {(i, j) for i in range(n + 1) for j in range(i, n + 1 - i)}
+        if set(constants) != expected:
             raise InvalidInputError("structure constants must cover exactly the pairs i <= j with i+j <= n")
-        for (i, j), c in self.constants.items():
+        for (i, j), c in constants.items():
             if c * l[i + j] != l[i] * l[j]:
                 raise InvalidInputError(f"inconsistent structure constant at ({i}, {j})")
+        return super().__new__(cls, n, pullback, constants)
+
+    @classmethod
+    def _make(cls, iterable):  # behind _replace too, so neither skips the checks
+        return cls(*iterable)
 
     def constant(self, i: int, j: int) -> int:
         """Structure constant of g_i * g_j (requires i + j <= n)."""
@@ -129,7 +137,7 @@ def lens_cohomology(k: int, weights: Iterable[int]) -> dict[int, int]:
     >>> lens_cohomology(2, (1, 1, 2))
     {0: 0, 2: 1, 4: 2, 5: 0}
     """
-    w = as_weights(weights)
+    w, k = as_weights(weights), _integer(k, "group order k")
     if k < 1:
         raise InvalidInputError(f"group order k must be positive, got {k}")
     n = len(w) - 1

@@ -2,9 +2,9 @@
 
 Factorizations are plain ``dict[int, int]`` (prime -> exponent, ascending
 keys, empty dict = 1).  Rationals are ``fractions.Fraction``, which already
-guarantees lowest terms and a positive denominator.  Prime sets are
-``frozenset[int]``.  Everything here is a pure function on immutable values
-and safe to call concurrently.
+guarantees lowest terms and a positive denominator; only the functions that
+take one import it.  Prime sets are ``frozenset[int]``.  Everything here is
+a pure function on immutable values and safe to call concurrently.
 
 Factoring is trial division up to ``TRIAL_DIVISION_BOUND`` (2**20): first by
 the primes below 2**16, sieved once at import, then by every odd number past
@@ -23,13 +23,16 @@ is Miller-Rabin to the first 13 prime bases, a proof below
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvalidInputError, NotPLocalError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "factorize",
@@ -65,6 +68,14 @@ _TRIAL_BLOCKS = tuple(
     (_SMALL_PRIMES[i : i + _BLOCK], prod(_SMALL_PRIMES[i : i + _BLOCK]))
     for i in range(0, len(_SMALL_PRIMES), _BLOCK)
 ) + ((range(_SIEVE_BOUND + 1, TRIAL_DIVISION_BOUND + 1, 2), 0),)
+
+
+def _integer(x: int, what: str) -> int:
+    """``x`` as an int by ``operator.index``: a float, string or fraction is refused, not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {x!r}") from None
 
 
 def _over_bound(m: int) -> ResourceLimitError:
@@ -104,14 +115,24 @@ def is_prime(m: int) -> bool:
     """Deterministic primality test: Miller-Rabin to the bases 2, 3, ..., 41.
 
     Past 3,317,044,064,679,887,385,961,981 that is no proof, so an m with no
-    divisor up to ``TRIAL_DIVISION_BOUND`` raises :class:`ResourceLimitError`.
+    divisor up to ``TRIAL_DIVISION_BOUND`` raises :class:`ResourceLimitError`
+    carrying that bound as its ``limit``.
 
     >>> [p for p in range(20) if is_prime(p)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    if m >= 3_317_044_064_679_887_385_961_981:
-        # the scan stops at the smallest prime factor
-        return next(_scan(m)) == (m, 1)
+    m = _integer(m, "m")
+    bound = 3_317_044_064_679_887_385_961_981  # Miller-Rabin to these bases is a proof below it
+    if m >= bound:
+        try:  # the scan stops at the smallest prime factor
+            return next(_scan(m)) == (m, 1)
+        except ResourceLimitError:
+            raise ResourceLimitError(
+                f"{m} has no divisor up to {TRIAL_DIVISION_BOUND}, and Miller-Rabin decides "
+                f"primality only below {bound}",
+                required=m,
+                limit=bound,
+            ) from None
     bases = _SMALL_PRIMES[:13]
     if m <= bases[-1]:
         return m in bases
@@ -147,6 +168,7 @@ def factorize(m: int) -> dict[int, int]:
     >>> factorize(1)
     {}
     """
+    m = _integer(m, "m")
     if m < 1:
         raise InvalidInputError(f"cannot factorize {m}: positive integer required")
     return dict(_factor_pairs(m))
@@ -158,6 +180,7 @@ def p_part(m: int, p: int) -> int:
     >>> p_part(12, 2), p_part(12, 3), p_part(12, 5)
     (4, 3, 1)
     """
+    m, p = _integer(m, "m"), _integer(p, "prime p")
     if m < 1:
         raise InvalidInputError(f"p_part undefined for {m}: positive integer required")
     if not is_prime(p):
@@ -184,6 +207,8 @@ def as_prime_set(primes: Iterable[int]) -> frozenset[int]:
 
 def is_p_local(x: Fraction | int, primes: Iterable[int]) -> bool:
     """Whether x lies in Z_P, i.e. its denominator avoids every prime of P."""
+    from fractions import Fraction  # imported here: it slows every start-up
+
     ps = as_prime_set(primes)
     den = Fraction(x).denominator
     return all(den % p for p in ps)
@@ -194,6 +219,8 @@ def is_p_local_unit(x: Fraction | int, primes: Iterable[int]) -> bool:
 
     Raises :class:`NotPLocalError` if x is not P-local in the first place.
     """
+    from fractions import Fraction  # imported here: it slows every start-up
+
     ps = as_prime_set(primes)
     x = Fraction(x)
     if any(x.denominator % p == 0 for p in ps):
@@ -208,11 +235,14 @@ def unit_split(x: Fraction | int, primes: Iterable[int]) -> tuple[Fraction, Frac
     and denominator are products of primes from P only, so v is a unit in Z_Q
     for any prime set Q disjoint from P.  The pair is unique.
 
+    >>> from fractions import Fraction
     >>> unit_split(Fraction(6, 5), {2, 3})
     (Fraction(1, 5), Fraction(6, 1))
     >>> unit_split(Fraction(-4, 9), {2})
     (Fraction(-1, 9), Fraction(4, 1))
     """
+    from fractions import Fraction  # imported here: it slows every start-up
+
     ps = as_prime_set(primes)
     x = Fraction(x)
     if x == 0:

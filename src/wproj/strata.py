@@ -10,10 +10,10 @@ strata are handled combinatorially and no coordinates ever appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError, NotNormalizedError
+from .numth import _integer
 from .weights import Weights, _integers, as_weights, is_divisor_chain, is_normalized
 
 __all__ = [
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StratumChart:
+class StratumChart(NamedTuple):
     """Local chart at a stratum: torus factor times a cone on a lens space.
 
     ``support`` lists the indices of nonzero coordinates (J), ``zero_set``
@@ -94,22 +93,20 @@ def singular_subspace(weights: Iterable[int], d: int) -> Weights:
     >>> singular_subspace((1, 2, 3, 4), 2)
     (2, 4)
     """
-    w = as_weights(weights)
+    w, d = as_weights(weights), _integer(d, "divisor d")
     if d < 1:
         raise InvalidInputError(f"divisor must be positive, got {d}")
     return tuple(x for x in w if x % d == 0)
 
 
-@dataclass(frozen=True)
-class FiltrationStep:
+class FiltrationStep(NamedTuple):
     """A subspace in the suffix filtration and its rescaled presentation."""
 
     subspace: tuple[int, ...]
     rescaled: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CellDecomposition:
+class CellDecomposition(NamedTuple):
     """Cell structure of a divisor-chain space: one cell per complex dimension."""
 
     weights: tuple[int, ...]

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InconsistentDataError, InvalidInputError, ResourceLimitError
-from .numth import _factor_pairs, _p_power, is_prime
+from .numth import _factor_pairs, _integer, _p_power, is_prime
 
 __all__ = [
     "as_weights",
@@ -195,14 +194,13 @@ def p_content(weights: Iterable[int], p: int) -> Weights:
     >>> p_content((1, 2, 3, 4), 2)
     (1, 2, 1, 4)
     """
-    w = as_weights(weights)
+    w, p = as_weights(weights), _integer(p, "prime p")
     if not is_prime(p):
         raise InvalidInputError(f"p_content needs a prime, got {p}")
     return tuple(_p_power(x, p) for x in w)
 
 
-@dataclass(frozen=True)
-class PContentColumn:
+class PContentColumn(NamedTuple):
     """The p-parts of a weight vector at one prime, unsorted and sorted."""
 
     prime: int
@@ -246,7 +244,7 @@ def is_divisor_chain(weights: Iterable[int]) -> bool:
 
 def divisor_count(weights: Iterable[int], d: int) -> int:
     """Number of weights divisible by d."""
-    w = as_weights(weights)
+    w, d = as_weights(weights), _integer(d, "divisor d")
     if d < 1:
         raise InvalidInputError(f"divisor must be positive, got {d}")
     return sum(1 for x in w if x % d == 0)

@@ -7,9 +7,11 @@ import random
 import subprocess
 import sys
 import time
+from itertools import accumulate
+from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wproj
 from wproj import _kernels_py, classify, cli, cohom, weights
@@ -261,35 +263,55 @@ class TestCensusOutput:
         assert out == expected
 
 
-# every JSON type a report may hold; keys are strings, as in every report
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=20,
+# entries past 2**64 that trial division still factors: a smooth part times at most one prime below 2**20
+entries = st.one_of(
+    st.integers(1, 60),
+    st.builds(
+        lambda smooth, big: math.prod(smooth) * big,
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=40),
+        st.sampled_from([1, 65537, 1000003]),
+    ),
 )
+vectors = st.lists(entries, min_size=1, max_size=9)
 
 
-class TestReportWriter:
-    """``cli._encode`` prints what ``json.dumps(indent=2)`` printed, for every report type."""
+def csv(values):
+    return ",".join(map(str, values))
 
-    @given(json_values)
-    def test_matches_indent_encoder(self, value):
-        assert cli._encode(value) == json.dumps(value, indent=2)
 
-    @pytest.mark.parametrize(
-        "value",
-        [
-            {"": [], "\u00e9\U0001f600": {}, '"\\': ["\x00\x1f\t\n\u2028"]},
-            [2**64 + 1, -(2**64), -1, 0, True, False, None, [[]], [{}]],
-        ],
-    )
-    def test_edge_cases(self, value):
-        assert cli._encode(value) == json.dumps(value, indent=2)
+class TestReportLayout:
+    """Every one-off report is laid out byte for byte as ``json.dumps(indent=2)`` lays out its value."""
 
-    @pytest.mark.parametrize("value", [1.5, (1, 2), {1, 2}, {"a": [0.0]}, [frozenset()]])
-    def test_other_types_raise(self, value):
-        with pytest.raises(TypeError):
-            cli._encode(value)
+    @staticmethod
+    def check(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        return json.loads(out)
+
+    # every check reads and clears the capture, so capsys carries nothing between examples
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(vectors, vectors, st.integers(1, 2**70), st.data())
+    def test_every_command(self, capsys, left, right, k, data):
+        self.check(capsys, "normalize", csv(left))
+        self.check(capsys, "invariants", csv(left))
+        self.check(capsys, "compare", csv(left), csv(right))
+        self.check(capsys, "lens", str(k), csv(left))
+        support = data.draw(st.sets(st.integers(0, len(left) - 1), min_size=1))
+        self.check(capsys, "stratum", csv(left), "--support", csv(support))
+        chain = list(accumulate(left, mul))
+        self.check(capsys, "cells", csv(chain))
+        primes = data.draw(st.sets(st.sampled_from([2, 3, 5, 7, 65537, 2**61 - 1]), min_size=1))
+        self.check(capsys, "split", f"-{chain[-1]}/{right[0]}", "--primes", csv(primes))
+
+    def test_empty_and_null_fields(self, capsys):
+        assert self.check(capsys, "invariants", "1")["p_content"] == {}
+        assert self.check(capsys, "normalize", "1,2,3")["moves"] == []
+        report = self.check(capsys, "stratum", "2,4,6", "--support", "0,1,2")
+        assert (report["zero_set"], report["cone_weights"], report["local_homology_order"]) == ([], [], None)
+        assert self.check(capsys, "cells", "1")["filtration"] == [{"subspace": ["1"], "rescaled": ["1"]}]
+        assert self.check(capsys, "split", "-4/9", "--primes", "2")["unit"] == "-1/9"
+        assert self.check(capsys, "lens", "1", "1")["groups"] == {"0": "0", "1": "0"}
 
 
 class TestWorkCounts:
@@ -355,6 +377,11 @@ class TestSplit:
     def test_only_sign_numerator_denominator(self, capsys, text):
         code, out, err = run_cli(capsys, "split", text, "--primes", "2")
         assert code == 2 and out == "" and "cannot parse rational" in err
+
+    def test_prime_past_the_miller_rabin_bound(self, capsys):
+        code, out, err = run_cli(capsys, "split", "1/2", "--primes", str(10**30 + 57))
+        assert (code, out) == (3, "")
+        assert "3317044064679887385961981" in err and "1048576" in err
 
     def test_surrounding_whitespace_and_sign(self, capsys):
         report = run_json(capsys, "split", " +12/7 ", "--primes", "2")
@@ -437,6 +464,15 @@ def test_import_leaves_multiprocessing_out():
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout == "False\n"
+
+
+def test_import_leaves_json_dataclasses_fractions_out():
+    # reports are laid out without json, records are named tuples, and only rationals need fractions
+    src = os.path.dirname(os.path.dirname(wproj.__file__))
+    code = "import sys, wproj.cli; print([m for m in ('json', 'dataclasses', 'fractions') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "[]\n"
 
 
 HUGE_PRIME = "1000000000000000000000000000057"  # 10**30 + 57, far past the trial-division bound

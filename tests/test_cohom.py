@@ -103,6 +103,19 @@ class TestRing:
             RingPresentation(2, (1, -2, -4), {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 1): -1})
         with pytest.raises(InvalidInputError):
             RingPresentation(2, (1, 0, 0), {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 1): 1})
+        with pytest.raises(InvalidInputError):
+            RingPresentation(n=1, pullback=(1, 2), constants={(0, 0): 1})
+
+    def test_named_tuple(self):
+        r = ring((1, 1, 2))
+        n, pullback, constants = r
+        assert r == (n, pullback, constants) == (2, (1, 2, 2), {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 1): 2})
+        # the constants are a dict, so the hash reads the other two fields only
+        assert hash(r) == hash(ring((2, 1, 1))) == hash((2, (1, 2, 2)))
+        with pytest.raises(InvalidInputError):
+            r._replace(n=5)
+        with pytest.raises(InvalidInputError):
+            RingPresentation._make((1, (2, 2), {}))
 
 
 class TestAdditiveCohomology:
@@ -132,6 +145,11 @@ class TestLensCohomology:
     def test_rejects_zero(self):
         with pytest.raises(InvalidInputError):
             lens_cohomology(0, (1, 1))
+
+    def test_integer_order_only(self):
+        # 2.5 used to give {0: 0, 2: 2.0, 3: 0}
+        with pytest.raises(InvalidInputError, match="2.5"):
+            lens_cohomology(2.5, (1, 2))
 
     def test_orders_always_positive_integers(self):
         rng = random.Random(8)

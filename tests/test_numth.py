@@ -144,12 +144,31 @@ class TestTrialDivisionBound:
         else:
             assert is_prime(m) == (m == 2**40 + 15)
 
+    def test_is_prime_refusal_names_the_miller_rabin_bound(self):
+        bound = 3_317_044_064_679_887_385_961_981
+        for m in (10**30 + 57, bound):
+            with pytest.raises(ResourceLimitError, match=str(bound)) as info:
+                is_prime(m)
+            assert (info.value.required, info.value.limit) == (m, bound)
+
     def test_huge_composite_with_small_divisor_is_not_prime(self):
         assert not is_prime(3 * (10**30 + 57))
 
     def test_unit_split_factors_nothing(self):
         x = Fraction(12 * (10**30 + 57), 7)
         assert unit_split(x, {2, 3}) == (Fraction(10**30 + 57, 7), Fraction(12))
+
+
+class TestIntegerArguments:
+    def test_is_prime(self):
+        # 7.0 used to be called prime
+        with pytest.raises(InvalidInputError, match="7.0"):
+            is_prime(7.0)
+        assert is_prime(True) is False
+
+    def test_factorize(self):
+        with pytest.raises(InvalidInputError, match="12.0"):
+            factorize(12.0)
 
 
 class TestMillerRabin:
@@ -207,6 +226,12 @@ class TestPPart:
             p_part(12, 4)
         with pytest.raises(InvalidInputError):
             p_part(12, 1)
+
+    def test_integer_arguments_only(self):
+        # p = 2.0 used to give 4.0
+        for m, p, bad in ((12, 2.0, "2.0"), (12.0, 2, "12.0"), (12, "2", "'2'")):
+            with pytest.raises(InvalidInputError, match=bad):
+                p_part(m, p)
 
     def test_quotient_coprime(self):
         for m in (1, 7, 48, 972, 10**6):

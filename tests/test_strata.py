@@ -108,6 +108,11 @@ class TestSingularSubspace:
         with pytest.raises(InvalidInputError):
             singular_subspace((1, 2), 0)
 
+    def test_integer_divisor_only(self):
+        # 1.5 used to give ()
+        with pytest.raises(InvalidInputError, match="1.5"):
+            singular_subspace((2, 4), 1.5)
+
     def test_dimension_law(self):
         for w in box(3, 10):
             for d in range(1, 12):

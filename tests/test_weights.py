@@ -243,6 +243,11 @@ class TestPContent:
         with pytest.raises(InvalidInputError):
             p_content((1, 2), 6)
 
+    def test_integer_prime_only(self):
+        # 2.0 used to give (2.0, 4.0)
+        with pytest.raises(InvalidInputError, match="2.0"):
+            p_content((2, 4), 2.0)
+
     def test_unfactorable_weight(self):
         # 10**30 + 57 leaves a cofactor past the factoring bound, but its 2-part needs one division
         assert p_content((2, 10**30 + 57), 2) == (2, 1)
@@ -324,6 +329,11 @@ class TestDivisorCount:
         with pytest.raises(InvalidInputError):
             divisor_count((1, 2), 0)
 
+    def test_integer_divisor_only(self):
+        # 2.0 used to give 2
+        with pytest.raises(InvalidInputError, match="2.0"):
+            divisor_count((2, 4), 2.0)
+
 
 class TestReconstruction:
     @staticmethod
@@ -369,6 +379,11 @@ class TestPCoprimeParts:
         assert p_coprime_parts((1, 2, 3, 4), 2) == (1, 1, 3, 1)
         assert p_coprime_parts((1, 1, 2), 2) == (1, 1, 1)
         assert p_coprime_parts((1, 2, 3, 4), 5) == (1, 2, 3, 4)
+
+    def test_integer_prime_only(self):
+        # 2.0 used to give (1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="2.0"):
+            p_coprime_parts((2, 4), 2.0)
 
     def test_always_coprime(self):
         for w in sorted_vectors(3, 12):
