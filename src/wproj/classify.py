@@ -19,7 +19,8 @@ from typing import Iterable, NamedTuple
 from itertools import combinations_with_replacement
 
 from . import _kernels_py
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import ResourceLimitError
+from .numth import _integer
 from .weights import Weights
 
 __all__ = [
@@ -126,16 +127,12 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
     all (vectors times ``dimension + 1``).  ``workers`` > 1 splits the
     enumeration by first entry across at most
     ``min(workers, max_weight, os.cpu_count())`` processes; the merged
-    report is identical either way.
+    report is identical either way.  Arguments are converted by
+    ``operator.index``: a float or a string raises :class:`InvalidInputError`.
     """
-    if workers < 1:
-        raise InvalidInputError(f"workers must be at least 1, got {workers}")
-    if dimension < 0:
-        raise InvalidInputError(f"dimension must be nonnegative, got {dimension}")
-    if max_weight < 1:
-        raise InvalidInputError(f"max_weight must be positive, got {max_weight}")
-    if limit is None:
-        limit = DEFAULT_CENSUS_LIMIT
+    dimension, max_weight = _integer(dimension, "dimension", 0), _integer(max_weight, "max_weight", 1)
+    limit = DEFAULT_CENSUS_LIMIT if limit is None else _integer(limit, "limit")
+    workers = _integer(workers, "workers", 1)
     total = _multiset_count(dimension, max_weight, limit)
     if total > limit:
         raise ResourceLimitError(

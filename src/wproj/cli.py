@@ -39,7 +39,7 @@ SCHEMA_VERSION = 1
 # (315 weights)
 MAX_REPORT_ENTRIES = 10**5
 
-_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", re.ASCII)
 
 
 def _frac(x: Fraction) -> str:
@@ -246,7 +246,7 @@ def _cmd_census(args) -> int:
     limit, env = args.limit, os.environ.get("WPROJ_CENSUS_LIMIT")
     if limit is None and env:
         try:
-            limit = int(env)
+            [limit] = weights._parse_ints(env, "WPROJ_CENSUS_LIMIT")
         except ValueError:
             raise InvalidInputError(f"WPROJ_CENSUS_LIMIT must be an integer, got {env!r}") from None
     report = classify.census(args.dim, args.max_weight, limit=limit, workers=args.workers)
@@ -267,6 +267,15 @@ def _cmd_split(args) -> int:
         f'  "unit": "{_frac(u)}",\n  "supported": "{_frac(v)}"',
     )
     return 0
+
+
+def _integer_field(text: str) -> int:
+    """One integer argument or option, in the grammar of a comma-separated entry."""
+    try:
+        [value] = weights._parse_ints(text, "integer")
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("lens", help="cohomology of the generalized lens space L(k; weights)")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer_field)
     p.add_argument("weights")
     p.set_defaults(func=_cmd_lens)
 
@@ -304,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cells)
 
     p = sub.add_parser("census", help="classify all weight multisets in a box")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--max-weight", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="enumeration budget (default WPROJ_CENSUS_LIMIT or 10^7)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--dim", type=_integer_field, required=True)
+    p.add_argument("--max-weight", type=_integer_field, required=True)
+    p.add_argument("--limit", type=_integer_field, default=None, help="enumeration budget (default WPROJ_CENSUS_LIMIT or 10^7)")
+    p.add_argument("--workers", type=_integer_field, default=1)
     p.add_argument("--table", action="store_true", help="tabular summary instead of JSON")
     p.add_argument("--no-members", action="store_true", help="omit member lists from the JSON report")
     p.set_defaults(func=_cmd_census)

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError
 from .numth import _integer
-from .weights import _from_table, _valuations, as_weights
+from .weights import _from_table, _integers, _valuations, as_weights
 
 __all__ = [
     "pullback_coefficients",
@@ -74,7 +74,7 @@ class RingPresentation(_RingFields):
     __slots__ = ()
 
     def __new__(cls, n: int, pullback: tuple[int, ...], constants: dict[tuple[int, int], int]):
-        l = pullback
+        n, l = _integer(n, "n", 0), _integers(pullback, "pullback")
         if len(l) != n + 1 or l[0] != 1 or min(l) < 1:
             raise InvalidInputError("pullback sequence must start at 1 with n+1 positive entries")
         if any(b % a for a, b in zip(l, l[1:])):
@@ -85,7 +85,7 @@ class RingPresentation(_RingFields):
         for (i, j), c in constants.items():
             if c * l[i + j] != l[i] * l[j]:
                 raise InvalidInputError(f"inconsistent structure constant at ({i}, {j})")
-        return super().__new__(cls, n, pullback, constants)
+        return super().__new__(cls, n, l, constants)
 
     @classmethod
     def _make(cls, iterable):  # behind _replace too, so neither skips the checks
@@ -137,9 +137,7 @@ def lens_cohomology(k: int, weights: Iterable[int]) -> dict[int, int]:
     >>> lens_cohomology(2, (1, 1, 2))
     {0: 0, 2: 1, 4: 2, 5: 0}
     """
-    w, k = as_weights(weights), _integer(k, "group order k")
-    if k < 1:
-        raise InvalidInputError(f"group order k must be positive, got {k}")
+    w, k = as_weights(weights), _integer(k, "group order k", 1)
     n = len(w) - 1
     # one table of the augmented vector; the plain vector's chain reads all but its last cell
     table = _valuations(w + (k,))

@@ -1,10 +1,10 @@
 """Exact integer and rational arithmetic helpers.
 
 Factorizations are plain ``dict[int, int]`` (prime -> exponent, ascending
-keys, empty dict = 1).  Rationals are ``fractions.Fraction``, which already
-guarantees lowest terms and a positive denominator; only the functions that
-take one import it.  Prime sets are ``frozenset[int]``.  Everything here is
-a pure function on immutable values and safe to call concurrently.
+keys, empty dict = 1).  Integers go through ``_integer``; a rational is an
+``int`` or a ``fractions.Fraction``, never a float or a string.  Prime sets
+are ``frozenset[int]``.  Everything here is a pure function on immutable
+values and safe to call concurrently.
 
 Factoring is trial division up to ``TRIAL_DIVISION_BOUND`` (2**20): first by
 the primes below 2**16, sieved once at import, then by every odd number past
@@ -70,12 +70,22 @@ _TRIAL_BLOCKS = tuple(
 ) + ((range(_SIEVE_BOUND + 1, TRIAL_DIVISION_BOUND + 1, 2), 0),)
 
 
-def _integer(x: int, what: str) -> int:
-    """``x`` as an int by ``operator.index``: a float, string or fraction is refused, not truncated."""
+def _integer(x: int, what: str, least: int | None = None) -> int:
+    """``x`` as an int by ``operator.index``, refused below ``least`` (0 or 1): a float, string or fraction is refused."""
     try:
-        return operator.index(x)
+        x = operator.index(x)
     except TypeError:
         raise InvalidInputError(f"{what} must be an integer, got {x!r}") from None
+    if least is not None and x < least:
+        raise InvalidInputError(f"{what} must be {'positive' if least else 'nonnegative'}, got {x}")
+    return x
+
+
+def _rational(x: Fraction | int) -> Fraction | int:
+    """``x`` itself if it is a ``Fraction``, else ``x`` by :func:`_integer`."""
+    from fractions import Fraction  # imported here: it slows every start-up
+
+    return x if isinstance(x, Fraction) else _integer(x, "x, unless a Fraction,")
 
 
 def _over_bound(m: int) -> ResourceLimitError:
@@ -168,10 +178,7 @@ def factorize(m: int) -> dict[int, int]:
     >>> factorize(1)
     {}
     """
-    m = _integer(m, "m")
-    if m < 1:
-        raise InvalidInputError(f"cannot factorize {m}: positive integer required")
-    return dict(_factor_pairs(m))
+    return dict(_factor_pairs(_integer(m, "m", 1)))
 
 
 def p_part(m: int, p: int) -> int:
@@ -180,11 +187,7 @@ def p_part(m: int, p: int) -> int:
     >>> p_part(12, 2), p_part(12, 3), p_part(12, 5)
     (4, 3, 1)
     """
-    m, p = _integer(m, "m"), _integer(p, "prime p")
-    if m < 1:
-        raise InvalidInputError(f"p_part undefined for {m}: positive integer required")
-    if not is_prime(p):
-        raise InvalidInputError(f"p_part needs a prime, got {p}")
+    m, [p] = _integer(m, "m", 1), as_prime_set([p])
     return _p_power(m, p)
 
 
@@ -198,7 +201,7 @@ def _p_power(m: int, p: int) -> int:
 
 def as_prime_set(primes: Iterable[int]) -> frozenset[int]:
     """Validate an explicit enumeration of primes."""
-    ps = frozenset(primes)
+    ps = frozenset(_integer(p, "prime") for p in primes)
     for p in ps:
         if not is_prime(p):
             raise InvalidInputError(f"{p} is not prime")
@@ -207,10 +210,8 @@ def as_prime_set(primes: Iterable[int]) -> frozenset[int]:
 
 def is_p_local(x: Fraction | int, primes: Iterable[int]) -> bool:
     """Whether x lies in Z_P, i.e. its denominator avoids every prime of P."""
-    from fractions import Fraction  # imported here: it slows every start-up
-
     ps = as_prime_set(primes)
-    den = Fraction(x).denominator
+    den = _rational(x).denominator
     return all(den % p for p in ps)
 
 
@@ -219,10 +220,8 @@ def is_p_local_unit(x: Fraction | int, primes: Iterable[int]) -> bool:
 
     Raises :class:`NotPLocalError` if x is not P-local in the first place.
     """
-    from fractions import Fraction  # imported here: it slows every start-up
-
     ps = as_prime_set(primes)
-    x = Fraction(x)
+    x = _rational(x)
     if any(x.denominator % p == 0 for p in ps):
         raise NotPLocalError(f"{x} is not P-local for P={sorted(ps)}")
     return x.numerator != 0 and all(x.numerator % p for p in ps)
@@ -244,7 +243,7 @@ def unit_split(x: Fraction | int, primes: Iterable[int]) -> tuple[Fraction, Frac
     from fractions import Fraction  # imported here: it slows every start-up
 
     ps = as_prime_set(primes)
-    x = Fraction(x)
+    x = _rational(x)
     if x == 0:
         raise InvalidInputError("cannot unit-split 0")
 

@@ -93,9 +93,7 @@ def singular_subspace(weights: Iterable[int], d: int) -> Weights:
     >>> singular_subspace((1, 2, 3, 4), 2)
     (2, 4)
     """
-    w, d = as_weights(weights), _integer(d, "divisor d")
-    if d < 1:
-        raise InvalidInputError(f"divisor must be positive, got {d}")
+    w, d = as_weights(weights), _integer(d, "divisor d", 1)
     return tuple(x for x in w if x % d == 0)
 
 

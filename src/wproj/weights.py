@@ -20,7 +20,7 @@ import operator
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InconsistentDataError, InvalidInputError, ResourceLimitError
-from .numth import _factor_pairs, _integer, _p_power, is_prime
+from .numth import _factor_pairs, _integer, _p_power, as_prime_set
 
 __all__ = [
     "as_weights",
@@ -72,13 +72,14 @@ def as_weights(weights: Iterable[int]) -> Weights:
 
 def _parse_ints(text: str, what: str) -> list[int]:
     """Parse comma-separated integers; ``what`` names the value in error messages."""
-    parts = [s.strip() for s in text.split(",")]
-    if parts == [""]:
+    if not text.strip():
         raise InvalidInputError(f"empty {what}")
-    try:
-        return [int(s) for s in parts]
-    except ValueError:
-        raise InvalidInputError(f"cannot parse {what} from {text!r}") from None
+    if text.isascii() and "_" not in text:  # int() alone also takes "1_0" and other scripts' digits
+        try:
+            return [int(s) for s in text.split(",")]
+        except ValueError:
+            pass
+    raise InvalidInputError(f"cannot parse {what} from {text!r}")
 
 
 def parse_weights(text: str) -> Weights:
@@ -194,9 +195,7 @@ def p_content(weights: Iterable[int], p: int) -> Weights:
     >>> p_content((1, 2, 3, 4), 2)
     (1, 2, 1, 4)
     """
-    w, p = as_weights(weights), _integer(p, "prime p")
-    if not is_prime(p):
-        raise InvalidInputError(f"p_content needs a prime, got {p}")
+    w, [p] = as_weights(weights), as_prime_set([p])
     return tuple(_p_power(x, p) for x in w)
 
 
@@ -244,9 +243,7 @@ def is_divisor_chain(weights: Iterable[int]) -> bool:
 
 def divisor_count(weights: Iterable[int], d: int) -> int:
     """Number of weights divisible by d."""
-    w, d = as_weights(weights), _integer(d, "divisor d")
-    if d < 1:
-        raise InvalidInputError(f"divisor must be positive, got {d}")
+    w, d = as_weights(weights), _integer(d, "divisor d", 1)
     return sum(1 for x in w if x % d == 0)
 
 
@@ -259,15 +256,16 @@ def reconstruct_weights(counts: Mapping[int, int], max_weight: int) -> Weights:
     steps; the unique sorted tuple with those multiplicities is returned.
     Non-negative multiplicities reproduce every count by construction, so
     only a negative one, or none at all, raises :class:`InconsistentDataError`.
+    ``max_weight`` and every count are converted by ``operator.index``: a
+    float or a string raises :class:`InvalidInputError`.
     """
-    if max_weight < 1:
-        raise InvalidInputError(f"max_weight must be positive, got {max_weight}")
+    max_weight = _integer(max_weight, "max_weight", 1)
     for d in range(1, max_weight + 1):
         if d not in counts:
             raise InvalidInputError(f"divisor-count function missing d={d}")
     multiplicity = {}
     for m in range(max_weight, 0, -1):
-        g = counts[m] - sum(multiplicity[d] for d in range(2 * m, max_weight + 1, m))
+        g = _integer(counts[m], f"counts[{m}]") - sum(multiplicity[d] for d in range(2 * m, max_weight + 1, m))
         if g < 0:
             raise InconsistentDataError(f"negative multiplicity at {m}: no weight vector has these counts")
         multiplicity[m] = g

@@ -251,6 +251,20 @@ class TestCensus:
             with pytest.raises(InvalidInputError):
                 census(1, 3, workers=workers)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, named",
+        [
+            ((1.5, 3), {}, "dimension"),
+            (("1", 3), {}, "dimension"),
+            ((1, 3), {"workers": 1.5}, "workers"),
+            ((1, 3), {"limit": 2.5}, "limit"),
+        ],
+    )
+    def test_integer_arguments_only(self, args, kwargs, named):
+        # each used to raise TypeError, except the limit, which was compared as given
+        with pytest.raises(InvalidInputError, match=f"^{named} must be an integer"):
+            census(*args, **kwargs)
+
     def test_dimension_zero(self):
         report = census(0, 9)
         assert report.homeo_classes == 1

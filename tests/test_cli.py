@@ -122,6 +122,13 @@ class TestLens:
         report = run_json(capsys, "lens", "2", "1,1,2")
         assert report["groups"] == {"0": "0", "2": "1", "4": "2", "5": "0"}
 
+    def test_order_in_ascii_digits_only(self, capsys):
+        # "1_0" used to be read as 10
+        with pytest.raises(SystemExit) as info:
+            main(["lens", "1_0", "1,2"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument k: invalid int value: '1_0'\n")
+
     def test_zero_order_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "lens", "0", "1,1")
         assert code == 2 and "invalid input" in err
@@ -291,7 +298,9 @@ class TestReportLayout:
 
     # every check reads and clears the capture, so capsys carries nothing between examples
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(vectors, vectors, st.integers(1, 2**70), st.data())
+    # k is drawn like an entry: an arbitrary k up to 2**70 may be a product of two primes past
+    # the trial-division bound, which lens refuses with exit 3 by design
+    @given(vectors, vectors, entries, st.data())
     def test_every_command(self, capsys, left, right, k, data):
         self.check(capsys, "normalize", csv(left))
         self.check(capsys, "invariants", csv(left))
@@ -540,6 +549,22 @@ class TestArgvFuzz:
         (["normalize", f"{3 * int(HUGE_PRIME)},{5 * int(HUGE_PRIME)}"], {}, 0),
         # one valuation table of the weights and k together
         (["lens", "2", MANY_PRIMES], {}, 3),
+        # every integer field is a sign and ASCII digits, whitespace only around it
+        (["normalize", "1_000,2"], {}, 2),
+        (["normalize", "\u0663,6"], {}, 2),
+        (["normalize", "6,\u300010"], {}, 2),
+        (["lens", "1_0", "1,2"], {}, 2),
+        (["lens", "\u0663", "1,2"], {}, 2),
+        (["stratum", "1,2,3", "--support", "0_1"], {}, 2),
+        (["split", "1/2", "--primes", "2_3"], {}, 2),
+        (["split", "\u0663/4", "--primes", "2"], {}, 2),
+        (["split", "3/\u0664", "--primes", "2"], {}, 2),
+        (["census", "--dim", "1_0", "--max-weight", "3"], {}, 2),
+        (["census", "--dim", "1", "--max-weight", "1_0"], {}, 2),
+        (["census", "--dim", "1", "--max-weight", "3", "--limit", "1_0"], {}, 2),
+        (["census", "--dim", "1", "--max-weight", "1", "--workers", "\u0661"], {}, 2),
+        (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "1_000"}, 2),
+        (["census", "--dim", " 1", "--max-weight", "+3\t", "--workers", "1 "], {"WPROJ_CENSUS_LIMIT": " 9 "}, 0),
     ]
 
     @pytest.mark.parametrize("argv, env, expected", CASES)

@@ -106,6 +106,17 @@ class TestRing:
         with pytest.raises(InvalidInputError):
             RingPresentation(n=1, pullback=(1, 2), constants={(0, 0): 1})
 
+    def test_integer_fields_only(self):
+        # a float n used to raise TypeError, n = -1 an IndexError, and a float multiplier passed
+        constants = {(0, 0): 1, (0, 1): 1}
+        with pytest.raises(InvalidInputError, match=r"^n must be an integer, got 1\.0"):
+            RingPresentation(1.0, (1, 2), constants)
+        with pytest.raises(InvalidInputError, match="^n must be nonnegative, got -1"):
+            RingPresentation(-1, (), {})
+        with pytest.raises(InvalidInputError, match=r"^pullback must be integers, got 2\.0"):
+            RingPresentation(1, (1, 2.0), constants)
+        assert RingPresentation(1, [1, 2], constants).pullback == (1, 2)
+
     def test_named_tuple(self):
         r = ring((1, 1, 2))
         n, pullback, constants = r

@@ -1,11 +1,14 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wproj import numth
+from wproj.classify import census
+from wproj.cohom import RingPresentation, lens_cohomology
 from wproj.errors import InvalidInputError, NotPLocalError, ResourceLimitError
 from wproj.numth import (
     TRIAL_DIVISION_BOUND,
@@ -17,6 +20,8 @@ from wproj.numth import (
     p_part,
     unit_split,
 )
+from wproj.strata import singular_subspace, stratum_chart
+from wproj.weights import divisor_count, normalize, p_content, p_coprime_parts, reconstruct_weights
 
 from helpers import trial_factor
 
@@ -325,3 +330,79 @@ class TestUnitSplit:
     )
     def test_contract_hypothesis(self, x, P):
         self.contract(x, P)
+
+
+class TestRationalArguments:
+    def test_floats_refused(self):
+        # unit_split(0.1, {2}) used to split the float's binary fraction, and
+        # is_p_local_unit(0.5, {3}) to answer True
+        for call in (lambda: unit_split(0.1, {2}), lambda: is_p_local_unit(0.5, {3}), lambda: is_p_local(0.5, {3})):
+            with pytest.raises(InvalidInputError, match="^x, unless a Fraction, must be an integer"):
+                call()
+
+    def test_strings_refused_unparsed(self):
+        # Fraction("1e40000") used to take seconds, quadratic in the exponent
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="1e40000"):
+            unit_split("1e40000", {2, 5})
+        assert time.perf_counter() - start < 0.01
+
+
+def _census_limit(x):
+    assume(x is not None)  # None asks for the default limit
+    return census(1, 3, limit=x)
+
+
+# every public integer parameter: the name its refusal starts with, and a call putting x there
+INTEGER_PARAMETERS = [
+    ("m", factorize),
+    ("m", is_prime),
+    ("m", lambda x: p_part(x, 2)),
+    ("prime", lambda x: p_part(12, x)),
+    ("prime", lambda x: as_prime_set([2, x])),
+    ("prime", lambda x: p_content((1, 2), x)),
+    ("prime", lambda x: p_coprime_parts((1, 2), x)),
+    ("group order k", lambda x: lens_cohomology(x, (1, 2))),
+    ("divisor d", lambda x: divisor_count((1, 2), x)),
+    ("divisor d", lambda x: singular_subspace((1, 2), x)),
+    ("dimension", lambda x: census(x, 3)),
+    ("max_weight", lambda x: census(1, x)),
+    ("limit", _census_limit),
+    ("workers", lambda x: census(1, 3, workers=x)),
+    ("max_weight", lambda x: reconstruct_weights({1: 1}, x)),
+    ("counts[2]", lambda x: reconstruct_weights({1: 2, 2: x}, 2)),
+    ("n", lambda x: RingPresentation(x, (1, 2), {(0, 0): 1, (0, 1): 1})),
+    ("pullback", lambda x: RingPresentation(1, (1, x), {(0, 0): 1, (0, 1): 1})),
+    ("weights", lambda x: normalize((1, x))),
+    ("support indices", lambda x: stratum_chart((1, 2), (0, x))),
+]
+RATIONAL_PARAMETERS = [
+    ("x, unless a Fraction,", lambda x: unit_split(x, {2})),
+    ("x, unless a Fraction,", lambda x: is_p_local(x, {2})),
+    ("x, unless a Fraction,", lambda x: is_p_local_unit(x, {2})),
+]
+numeric_strings = st.one_of(
+    st.integers().map(str),
+    st.floats().map(str),
+    st.fractions().map(str),
+    st.integers(0, 10**5).map(lambda e: f"1e{e}"),
+)
+not_rationals = st.one_of(st.floats(), numeric_strings, st.none())
+not_integers = st.one_of(not_rationals, st.fractions().filter(lambda x: x.denominator != 1))
+
+
+class TestArgumentRule:
+    """Every integer argument is converted by ``operator.index``, every rational one is an int or a Fraction."""
+
+    @settings(max_examples=500)
+    @given(
+        st.one_of(
+            st.tuples(st.sampled_from(INTEGER_PARAMETERS), not_integers),
+            st.tuples(st.sampled_from(RATIONAL_PARAMETERS), not_rationals),
+        )
+    )
+    def test_refused_by_name(self, case):
+        (name, call), x = case
+        with pytest.raises(InvalidInputError) as info:
+            call(x)
+        assert str(info.value).startswith(f"{name} must be ")

@@ -362,6 +362,13 @@ class TestReconstruction:
             # totals cannot be matched by any multiset
             reconstruct_weights({1: 1, 2: 1, 3: 1}, 3)
 
+    def test_integer_arguments_only(self):
+        # both used to raise TypeError
+        with pytest.raises(InvalidInputError, match=r"^max_weight must be an integer, got 1\.5"):
+            reconstruct_weights({1: 1}, 1.5)
+        with pytest.raises(InvalidInputError, match=r"^counts\[1\] must be an integer, got 2\.5"):
+            reconstruct_weights({1: 2.5}, 1)
+
     def test_missing_counts_rejected(self):
         with pytest.raises(InvalidInputError):
             reconstruct_weights({1: 2}, 3)
