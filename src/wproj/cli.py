@@ -26,8 +26,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import _kernels_py, classify, cohom, strata, weights
-from .errors import InvalidInputError, NotNormalizedError, ResourceLimitError
-from .numth import _p_power, as_prime_set, unit_split
+from .errors import InvalidInputError, ResourceLimitError
+from .numth import _p_power, unit_split
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -169,10 +169,8 @@ def _cmd_stratum(args) -> int:
     w = weights.parse_weights(args.weights)
     support = weights._parse_ints(args.support, "support set")
     chart = strata.stratum_chart(w, support)
-    try:
-        normalized, order = "true", f'"{strata.local_homology_order(w, support)}"'
-    except NotNormalizedError:
-        normalized, order = "false", "null"
+    # on normalized weights the local-homology order is the chart's cyclic order
+    normalized, order = ("true", f'"{chart.cyclic_order}"') if weights.is_normalized(w) else ("false", "null")
     _write(
         "stratum",
         f'  "weights": {_array(w)},\n  "support": {_array(chart.support, quote="")},\n'
@@ -259,11 +257,11 @@ def _cmd_census(args) -> int:
 
 def _cmd_split(args) -> int:
     x = _parse_rational(args.rational)
-    primes = as_prime_set(weights._parse_ints(args.primes, "prime set"))
-    u, v = unit_split(x, primes)
+    primes = weights._parse_ints(args.primes, "prime set")
+    u, v = unit_split(x, primes)  # validates the primes
     _write(
         "split",
-        f'  "input": "{_frac(x)}",\n  "primes": {_array(sorted(primes))},\n'
+        f'  "input": "{_frac(x)}",\n  "primes": {_array(sorted(set(primes)))},\n'
         f'  "unit": "{_frac(u)}",\n  "supported": "{_frac(v)}"',
     )
     return 0

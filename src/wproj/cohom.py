@@ -16,6 +16,7 @@ infinite cyclic group and order 1 a trivial one.
 
 from __future__ import annotations
 
+import operator
 from itertools import accumulate
 from operator import mul
 from typing import Iterable, NamedTuple
@@ -82,9 +83,13 @@ class RingPresentation(_RingFields):
         expected = {(i, j) for i in range(n + 1) for j in range(i, n + 1 - i)}
         if set(constants) != expected:
             raise InvalidInputError("structure constants must cover exactly the pairs i <= j with i+j <= n")
-        for (i, j), c in constants.items():
-            if c * l[i + j] != l[i] * l[j]:
-                raise InvalidInputError(f"inconsistent structure constant at ({i}, {j})")
+        # a float index or constant passes the key-set check (0.0 == 0); indexing and operator.index refuse it
+        try:
+            for (i, j), c in constants.items():
+                if operator.index(c) * l[i + j] != l[i] * l[j]:
+                    raise InvalidInputError(f"inconsistent structure constant at ({i}, {j})")
+        except TypeError:
+            raise InvalidInputError(f"constants must be integers at integer index pairs, got {(i, j)!r}: {c!r}") from None
         return super().__new__(cls, n, l, constants)
 
     @classmethod

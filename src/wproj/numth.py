@@ -246,18 +246,6 @@ def unit_split(x: Fraction | int, primes: Iterable[int]) -> tuple[Fraction, Frac
     x = _rational(x)
     if x == 0:
         raise InvalidInputError("cannot unit-split 0")
-
-    def split(m: int) -> tuple[int, int]:
-        inside = 1
-        for p in ps:
-            q = _p_power(m, p)  # ps was validated by as_prime_set
-            inside *= q
-            m //= q
-        return m, inside  # (coprime-to-P part, P-supported part)
-
-    num_out, num_in = split(abs(x.numerator))
-    den_out, den_in = split(x.denominator)
-    sign = 1 if x > 0 else -1
-    u = Fraction(sign * num_out, den_out)
-    v = Fraction(num_in, den_in)
-    return u, v
+    # v is the P-supported part of numerator over that of denominator, and u = x / v
+    v = Fraction(prod(_p_power(abs(x.numerator), p) for p in ps), prod(_p_power(x.denominator, p) for p in ps))
+    return x / v, v

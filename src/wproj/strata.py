@@ -43,15 +43,6 @@ class StratumChart(NamedTuple):
     cone_weights: tuple[int, ...]
 
 
-def _check_support(w: Weights, support: Iterable[int]) -> tuple[int, ...]:
-    J = tuple(sorted(set(_integers(support, "support indices"))))
-    if not J:
-        raise InvalidInputError("support set must be nonempty")
-    if J[0] < 0 or J[-1] >= len(w):
-        raise InvalidInputError(f"support indices out of range for {len(w)} weights: {J}")
-    return J
-
-
 def stratum_chart(weights: Iterable[int], support: Iterable[int]) -> StratumChart:
     """Chart of the stratum whose nonzero coordinates are ``support``.
 
@@ -59,8 +50,12 @@ def stratum_chart(weights: Iterable[int], support: Iterable[int]) -> StratumChar
     2
     """
     w = as_weights(weights)
-    J = _check_support(w, support)
-    I = tuple(i for i in range(len(w)) if i not in J)
+    J = tuple(sorted(set(_integers(support, "support indices"))))
+    if not J:
+        raise InvalidInputError("support set must be nonempty")
+    if J[0] < 0 or J[-1] >= len(w):
+        raise InvalidInputError(f"support indices out of range for {len(w)} weights: {J}")
+    I = tuple(sorted(set(range(len(w))).difference(J)))
     return StratumChart(
         support=J,
         zero_set=I,
@@ -73,14 +68,14 @@ def stratum_chart(weights: Iterable[int], support: Iterable[int]) -> StratumChar
 def local_homology_order(weights: Iterable[int], support: Iterable[int]) -> int:
     """Order of the top local-homology group at a point with given support.
 
-    For normalized weights this equals gcd of the weights over the support;
-    the very same number is the order of the top middle cohomology group of
-    the lens space in the chart's cone factor.  Requires normalized input.
+    For normalized weights this is the chart's cyclic order, the gcd of the
+    weights over the support, and the order of the top middle cohomology group
+    of the lens space in the chart's cone factor.  Requires normalized input.
     """
     w = as_weights(weights)
     if not is_normalized(w):
         raise NotNormalizedError(f"local homology orders need normalized weights, got {w}")
-    return math.gcd(*(w[i] for i in _check_support(w, support)))
+    return stratum_chart(w, support).cyclic_order
 
 
 def singular_subspace(weights: Iterable[int], d: int) -> Weights:

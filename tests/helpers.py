@@ -2,12 +2,13 @@
 
 The oracles here deliberately avoid the library code paths they are used to
 check: factoring is re-done by trial division, normalization is re-done by
-deterministic and by randomized rewriting, and the multiplier sequence is
+deterministic and by randomized rewriting, the multiplier sequence is
 re-done without any factoring by :func:`subset_lcm_sequence` (lcm of subset
-products).
+products), and the P-local unit split by :func:`split_prime_by_prime`.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable
 
@@ -129,3 +130,26 @@ def subset_lcm_sequence(weights: Iterable[int]) -> tuple[int, ...]:
     for i in range(1, n + 1):
         out.append(math.lcm(*(math.prod(w[j] for j in sel) for sel in combinations(range(n + 1), i))))
     return tuple(out)
+
+
+def split_prime_by_prime(x, primes):
+    """Independent route to :func:`wproj.numth.unit_split` for nonzero x.
+
+    Divides each prime of P out of the numerator and out of the denominator
+    in turn, keeping what was divided out (v) apart from what is left (u),
+    and gives u the sign of x.
+    """
+    x = Fraction(x)
+
+    def split(m):
+        inside = 1
+        for p in primes:
+            while m % p == 0:
+                m //= p
+                inside *= p
+        return m, inside  # (coprime-to-P part, P-supported part)
+
+    num_out, num_in = split(abs(x.numerator))
+    den_out, den_in = split(x.denominator)
+    sign = 1 if x > 0 else -1
+    return Fraction(sign * num_out, den_out), Fraction(num_in, den_in)

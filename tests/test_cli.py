@@ -152,6 +152,16 @@ class TestStratum:
         code, _, err = run_cli(capsys, "stratum", "1,2,3", "--support", "7")
         assert code == 2
 
+    def test_zero_set_linear_in_weights(self, capsys):
+        # each argument stays below Linux's 128 KB limit on one argv string; the zero
+        # set was built by a membership test on the support tuple, 10 s for this argv
+        argv = ["stratum", ",".join(["1"] * 60_000), "--support", ",".join(map(str, range(0, 60_000, 3)))]
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, len(out)) == (0, 1_549_121)
+        assert elapsed < 1.0
+
 
 class TestCells:
     def test_example(self, capsys):

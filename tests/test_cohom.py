@@ -117,6 +117,16 @@ class TestRing:
             RingPresentation(1, (1, 2.0), constants)
         assert RingPresentation(1, [1, 2], constants).pullback == (1, 2)
 
+    @pytest.mark.parametrize(
+        "constants",
+        [{(0, 0): 1.0, (0, 1): 1}, {(0.0, 0): 1, (0, 1): 1}, {(0, 0): 1, (0, 1.0): 1}, {(0, 0): 1, (0, 1): "1"}],
+    )
+    def test_integer_constants_only(self, constants):
+        # each equals a valid dict key for key; a float constant used to be stored,
+        # and a float index to raise TypeError
+        with pytest.raises(InvalidInputError, match=r"^constants must be integers at integer index pairs"):
+            RingPresentation(1, (1, 2), constants)
+
     def test_named_tuple(self):
         r = ring((1, 1, 2))
         n, pullback, constants = r

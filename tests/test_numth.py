@@ -23,9 +23,11 @@ from wproj.numth import (
 from wproj.strata import singular_subspace, stratum_chart
 from wproj.weights import divisor_count, normalize, p_content, p_coprime_parts, reconstruct_weights
 
-from helpers import trial_factor
+from helpers import split_prime_by_prime, trial_factor
 
 SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
+# primes a P-local split divides out of numerators and denominators past 2**64
+SPLIT_PRIMES = [2, 3, 5, 7, 65521, 2**61 - 1]
 
 
 def remultiply(factors):
@@ -331,6 +333,29 @@ class TestUnitSplit:
     def test_contract_hypothesis(self, x, P):
         self.contract(x, P)
 
+    @given(
+        st.builds(
+            lambda m, ps: m * math.prod(ps),
+            st.integers(-(2**80), 2**80).filter(bool),
+            st.lists(st.sampled_from(SPLIT_PRIMES), max_size=8),
+        ).flatmap(
+            lambda num: st.one_of(
+                st.just(num),
+                st.builds(
+                    lambda m, ps: Fraction(num, m * math.prod(ps)),
+                    st.integers(1, 2**80),
+                    st.lists(st.sampled_from(SPLIT_PRIMES), max_size=8),
+                ),
+            )
+        ),
+        st.frozensets(st.sampled_from(SPLIT_PRIMES), max_size=6),
+    )
+    def test_matches_prime_by_prime_split(self, x, P):
+        # one division by the P-supported part gives what dividing out each prime gave
+        u, v = unit_split(x, P)
+        assert (type(u), type(v)) == (Fraction, Fraction)
+        assert (u, v) == split_prime_by_prime(x, P)
+
 
 class TestRationalArguments:
     def test_floats_refused(self):
@@ -373,6 +398,7 @@ INTEGER_PARAMETERS = [
     ("counts[2]", lambda x: reconstruct_weights({1: 2, 2: x}, 2)),
     ("n", lambda x: RingPresentation(x, (1, 2), {(0, 0): 1, (0, 1): 1})),
     ("pullback", lambda x: RingPresentation(1, (1, x), {(0, 0): 1, (0, 1): 1})),
+    ("constants", lambda x: RingPresentation(1, (1, 2), {(0, 0): x, (0, 1): 1})),
     ("weights", lambda x: normalize((1, x))),
     ("support indices", lambda x: stratum_chart((1, 2), (0, x))),
 ]

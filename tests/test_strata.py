@@ -12,7 +12,7 @@ from wproj.strata import (
     singular_subspace,
     stratum_chart,
 )
-from wproj.weights import divisor_count, normalize
+from wproj.weights import divisor_count, is_normalized, normalize
 
 from helpers import box
 
@@ -73,6 +73,12 @@ class TestLocalHomologyOrder:
         for w in box(3, 10):
             nw = normalize(w)
             assert local_homology_order(nw, range(len(nw))) == 1
+
+    def test_is_the_chart_cyclic_order(self):
+        for w in filter(is_normalized, box(3, 12)):
+            for size in range(1, len(w) + 1):
+                for J in combinations(range(len(w)), size):
+                    assert local_homology_order(w, J) == stratum_chart(w, J).cyclic_order
 
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalizedError):
