@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .weights import _forms, _valuations, as_weights
+from .weights import Factors, _forms, _valuations, as_weights
 
 
-def canonical_pair(weights: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sorted normalized vector, divisor-chain form) of a weight vector, validated here."""
+def canonical_pair(weights: Iterable[int], factors: Factors | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sorted normalized vector, divisor-chain form) of a weight vector, validated here; ``factors`` as in ``_valuations``."""
     w = as_weights(weights)
-    normal, chain = _forms(w, _valuations(w))
+    normal, chain = _forms(w, _valuations(w, factors))
     return tuple(sorted(normal)), chain

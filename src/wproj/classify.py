@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from typing import Iterable, NamedTuple
-
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import Iterable, NamedTuple
 
 from . import _kernels_py
 from .errors import ResourceLimitError
-from .numth import _integer
-from .weights import Weights
+from .numth import _integer, _scan
+from .weights import Factors, Weights
 
 __all__ = [
     "homeo_canonical_form",
@@ -88,13 +88,20 @@ class CensusReport(NamedTuple):
     homotopy_classes: int
 
 
+@lru_cache(maxsize=1)
+def _box_factors(max_weight: int) -> Factors:
+    """Factorizations of 1..max_weight: each process of a census builds them on its first slice."""
+    return {m: tuple(_scan(m)) for m in range(1, max_weight + 1)}
+
+
 def _classify_slice(args: tuple[int, int, int]) -> dict:
     """Non-decreasing vectors with a fixed first entry, in enumeration order, keyed by both canonical forms."""
     first, dim, max_weight = args
+    factors = _box_factors(max_weight)
     groups: dict[tuple[Weights, Weights], list[Weights]] = defaultdict(list)
     for tail in combinations_with_replacement(range(first, max_weight + 1), dim):
         v = (first,) + tail
-        groups[_kernels_py.canonical_pair(v)].append(v)
+        groups[_kernels_py.canonical_pair(v, factors)].append(v)
     return groups
 
 
@@ -168,6 +175,7 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
     for part in partials:
         for forms, members in part.items():
             merged.setdefault(forms, []).extend(members)
+    _box_factors.cache_clear()  # keep no factorizations past the census
 
     records = []
     for (homeo, homotopy), members in sorted(merged.items()):

@@ -24,7 +24,6 @@ is Miller-Rabin to the first 13 prime bases, a proof below
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -161,12 +160,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-# Fits every entry of a census in the default budget (dimension 1: up to 4471).
-@lru_cache(maxsize=1 << 13)
-def _factor_pairs(m: int) -> tuple[tuple[int, int], ...]:
-    return tuple(_scan(m))
-
-
 def factorize(m: int) -> dict[int, int]:
     """Prime factorization of a positive integer, keys ascending.
 
@@ -178,7 +171,7 @@ def factorize(m: int) -> dict[int, int]:
     >>> factorize(1)
     {}
     """
-    return dict(_factor_pairs(_integer(m, "m", 1)))
+    return dict(_scan(_integer(m, "m", 1)))
 
 
 def p_part(m: int, p: int) -> int:

@@ -7,8 +7,11 @@ whose entry i multiplies in each prime to its i-th smallest valuation;
 multiplier sequences are built from that chain, and ``_forms`` derives both
 canonical forms from it, the normalized vector and the divisor-chain form.
 Only output that names a prime reads a valuation column: the move log of
-:func:`normalize_with_moves` and the p-content table.  Divisor counts
-reconstruct normalized weights from local data.
+:func:`normalize_with_moves` and the p-content table.  :func:`is_normalized`
+needs no table: it is decided by gcds alone.  Divisor counts reconstruct
+normalized weights from local data.
+Each table factors its entries afresh: no factorization outlives its call,
+except the census's one dict of its box, which lives as long as the census.
 
 All functions are pure; census drivers may call them from parallel workers.
 """
@@ -17,10 +20,11 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InconsistentDataError, InvalidInputError, ResourceLimitError
-from .numth import _factor_pairs, _integer, _p_power, as_prime_set
+from .numth import _integer, _p_power, _scan, as_prime_set
 
 __all__ = [
     "as_weights",
@@ -39,6 +43,8 @@ __all__ = [
 ]
 
 Weights = tuple[int, ...]
+# entry -> its (prime, exponent) pairs, ascending
+Factors = dict[int, tuple[tuple[int, int], ...]]
 
 # the valuation table holds one column of len(w) exponents per distinct prime;
 # 1,000 weights with 1,000 distinct primes fit
@@ -91,16 +97,22 @@ def parse_weights(text: str) -> Weights:
     return as_weights(_parse_ints(text, "weight vector"))
 
 
-def _valuations(w: Weights) -> dict[int, list[int]]:
+def _valuations(w: Weights, factors: Factors | None = None) -> dict[int, list[int]]:
     """Exponent column of each prime dividing some weight (primes unordered).
 
-    Refused with :class:`ResourceLimitError` before the table would pass
-    ``MAX_VALUATION_CELLS`` cells.
+    An entry missing from ``factors`` (a fresh dict by default) is factored
+    and added, so each distinct entry is factored once per dict.  Entries are
+    taken in order, and the table is refused with :class:`ResourceLimitError`
+    before it would pass ``MAX_VALUATION_CELLS`` cells.
     """
+    if factors is None:
+        factors = {}
     table: dict[int, list[int]] = {}
     max_primes = MAX_VALUATION_CELLS // len(w)
     for i, x in enumerate(w):
-        for p, e in _factor_pairs(x):
+        if x not in factors:
+            factors[x] = tuple(_scan(x))
+        for p, e in factors[x]:
             if p not in table:
                 if len(table) == max_primes:
                     cells = (max_primes + 1) * len(w)
@@ -145,14 +157,21 @@ def _forms(w: Weights, table: Mapping[int, list[int]]) -> tuple[Weights, Weights
 def is_normalized(weights: Iterable[int]) -> bool:
     """Whether normalizing leaves the vector unchanged.
 
-    Equivalently, every prime leaves at least two weights undivided; a single
-    weight is normalized exactly when it equals 1 (the point).
+    Equivalently, every prime leaves at least two weights undivided: every
+    ``len(w) - 1`` of the weights have gcd 1.  That is read off prefix and
+    suffix gcds in O(n), without factoring.  A single weight is normalized
+    exactly when it equals 1 (the point).
 
     >>> is_normalized((1, 2, 3, 4)), is_normalized((1, 2, 4))
     (True, False)
     """
     w = as_weights(weights)
-    return normalize(w) == w
+    if len(w) == 1:
+        return w == (1,)
+    prefix = [0, *accumulate(w, math.gcd)]  # prefix[i] = gcd(w[:i])
+    suffix = [*accumulate(reversed(w), math.gcd)][::-1] + [0]  # suffix[i] = gcd(w[i:])
+    # the weights other than w[i] have gcd(prefix[i], suffix[i + 1])
+    return all(math.gcd(a, b) == 1 for a, b in zip(prefix, suffix[1:]))
 
 
 def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:

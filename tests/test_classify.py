@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import wproj
-from wproj import _kernels_py, classify
+from wproj import _kernels_py, classify, numth, weights
 from wproj.classify import (
     census,
     homeo_canonical_form,
@@ -171,14 +171,29 @@ class TestCensus:
     def test_split_class_refused(self, monkeypatch, moved, workers):
         pair = _kernels_py.canonical_pair
 
-        def wrapped(v):
-            homeo, homotopy = pair(v)
+        def wrapped(v, *rest):
+            homeo, homotopy = pair(v, *rest)
             return homeo, (1, 1, 2) if v == moved else homotopy
 
         started = stand_in_pool(monkeypatch, cpus=2)
         monkeypatch.setattr(_kernels_py, "canonical_pair", wrapped)
         with pytest.raises(AssertionError, match=r"class \(1, 1, 1\) split across homotopy classes"):
             census(2, 4, workers=workers)
+        assert started == ([2] if workers == 2 else [])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_box_factored_once(self, monkeypatch, workers):
+        scans = []
+
+        def scan(m):
+            scans.append(m)
+            return numth._scan(m)
+
+        for owner in (classify, weights):
+            monkeypatch.setattr(owner, "_scan", scan)
+        started = stand_in_pool(monkeypatch, cpus=2)
+        census(2, 12, workers=workers)
+        assert scans == list(range(1, 13))
         assert started == ([2] if workers == 2 else [])
 
     def test_refinement_verified_by_partitions(self):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import accumulate
 from operator import mul
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wproj
-from wproj import _kernels_py, classify, cli, cohom, weights
+from wproj import _kernels_py, classify, cli, cohom, numth, weights
 from wproj.cli import main
 
 from helpers import box, first_primes
@@ -368,9 +370,55 @@ class TestWorkCounts:
         tables = self.count(monkeypatch, [weights, cohom], "_valuations")
         chains = self.count(monkeypatch, [weights, cohom], "_from_table")
         run_json(capsys, *argv)
-        assert len(tables) == 1
+        # stratum decides its normalized flag by gcds and builds no table
+        assert len(tables) == (0 if argv[0] == "stratum" else 1)
         # one raw chain per form; lens reads the plain and the k-augmented chain
-        assert len(chains) == (2 if argv[0] == "lens" else 1)
+        assert len(chains) == {"lens": 2, "stratum": 0}.get(argv[0], 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compare", "1,2,3,4", "6,10,15"),
+            ("invariants", "2,4,6,9"),
+            ("lens", "6", "2,4,6,9"),
+            ("normalize", "4,8,12,18"),
+        ],
+    )
+    def test_no_factorization_outlives_its_query(self, capsys, monkeypatch, argv):
+        scans = self.count(monkeypatch, [numth, weights], "_scan")
+        run_json(capsys, *argv)
+        first = len(scans)
+        run_json(capsys, *argv)
+        assert first > 0 and len(scans) == 2 * first
+
+    def test_each_distinct_entry_scanned_once(self, capsys, monkeypatch):
+        scans = self.count(monkeypatch, [numth, weights], "_scan")
+        # the common factor 2 is divided out first, leaving 3, 3, 5, 3
+        run_json(capsys, "normalize", "6,6,10,6")
+        assert scans == [(3,), (5,)]
+
+
+class TestMemory:
+    def test_queries_keep_no_factorizations(self, monkeypatch):
+        # a process-wide factor cache would keep every entry these calls factor
+        def compare(i):
+            assert main(["compare", f"{6 * i + 1},{10**6 + i}", f"{65537 * i},{i + 1}"]) == 0
+
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                for i in range(1, 201):  # warm-up: the parser and the interpreter's own caches
+                    compare(i)
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                for i in range(201, 3201):
+                    compare(i)
+                gc.collect()
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert kept < 64 * 1024
 
 
 class TestSplit:
@@ -534,7 +582,8 @@ class TestArgvFuzz:
         (["lens", "2", f"1,{HUGE_PRIME}"], {}, 3),
         (["stratum", "1,2,3", "--support", ""], {}, 2),
         (["stratum", "1,2,3", "--support", "-1"], {}, 2),
-        (["stratum", f"2,{HUGE_PRIME}", "--support", "0"], {}, 3),
+        # the normalized flag is decided by gcds, without factoring
+        (["stratum", f"2,{HUGE_PRIME}", "--support", "0"], {}, 0),
         (["cells", "0"], {}, 2),
         (["split", "0", "--primes", "2"], {}, 2),
         (["split", "1/0", "--primes", "2"], {}, 2),
@@ -608,7 +657,10 @@ class TestGoldenReports:
     """stdout, stderr and exit code of every one-off command on a fixed argv set.
 
     The digest was taken with the ``json.dumps(indent=2)`` writer, before the
-    one-off commands shared their intermediate results.
+    one-off commands shared their intermediate results.  It was re-taken once
+    ``stratum`` decided its ``normalized`` flag by gcds: the six ``stratum``
+    argv holding 2**61 - 1 then answer (exit 0) instead of refusing (exit 3),
+    and no other argv changed.
     """
 
     ENTRIES = (1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 30, 36, 64, 210, 65521, 65537, 3 * 1048573, 2**32 - 5, 3**40, 2**61 - 1)
@@ -648,7 +700,7 @@ class TestGoldenReports:
         ["split", "-4/9", "--primes", "2,3"],
     ]
     COUNT = 500
-    DIGEST = "90caaebb6c58e2365fa46c5fefa3180fdd4367092fc3fac465b375c87e559efa"
+    DIGEST = "f44383bc9f23c2df2a4f2d32d3744cca8092f7718693a0712e4305f34fa7f863"
 
     @classmethod
     def argv_set(cls):

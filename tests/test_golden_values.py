@@ -136,7 +136,7 @@ DRAWS = {
     "p_coprime_parts": lambda rng: (vector(rng), prime(rng)),
 }
 ROUNDS = 40
-DIGEST = "4549aa506e8e7f0e660796d4b9c5e1c42e3dda835b8b4786864a44dd41ecc6b0"
+DIGEST = "120a383ebfea73992642d54dfb785cbd7b5220a53ab4350cf8ab1d17122cf1f2"
 
 
 def public_callables():

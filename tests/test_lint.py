@@ -43,7 +43,7 @@ SPLIT_CLASS = """
 import sys
 from wproj import _kernels_py, classify
 pair = _kernels_py.canonical_pair
-_kernels_py.canonical_pair = lambda v: (pair(v)[0], (1, 2)) if v == (2, 2) else pair(v)
+_kernels_py.canonical_pair = lambda v, *rest: (pair(v, *rest)[0], (1, 2)) if v == (2, 2) else pair(v, *rest)
 try:
     classify.census(1, 3)
 except AssertionError as exc:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from wproj._kernels_py import canonical_pair
 from wproj.classify import homeomorphic
 from wproj.errors import InconsistentDataError, InvalidInputError, ResourceLimitError
-from wproj.numth import _factor_pairs, p_part
+from wproj.numth import p_part
 from wproj.weights import (
     MAX_VALUATION_CELLS,
     as_weights,
@@ -40,6 +40,8 @@ _large_entries = st.builds(
     st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=40),
     st.sampled_from([1, 1, 65537, 1000003]),
 )
+# entries past 2**64: a prime to at least the 65th power times such an entry
+_past_2_64 = st.builds(lambda p, e, rest: p**e * rest, st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(65, 80), _large_entries)
 # vectors up to 80 entries, past the kernel's 64-weight limit
 kernel_boundary_vectors = st.one_of(
     weight_vectors,
@@ -97,6 +99,24 @@ class TestIsNormalized:
     def test_single_weight_is_point(self):
         assert is_normalized((1,)) is True
         assert is_normalized((5,)) is False
+
+    def test_agrees_with_normalize_on_a_box(self):
+        for w in box(3, 20):
+            assert is_normalized(w) == (normalize(w) == w)
+
+    @given(_past_2_64, st.lists(st.one_of(st.integers(1, 60), _large_entries, _past_2_64), max_size=5))
+    @example(2**70, [3**50])
+    @example(2**70, [3**50, 1])
+    @example(2**65, [1, 3 * 2**65])
+    def test_agrees_with_normalize_past_2_64(self, big, rest):
+        w = (big, *rest)
+        assert is_normalized(w) == (normalize(w) == w)
+
+    def test_answers_without_factoring(self):
+        # 10**30 + 57 has no divisor up to the trial-division bound
+        assert is_normalized((1, 2, 10**30 + 57)) is True
+        assert is_normalized((2, 10**30 + 57)) is False
+        assert is_normalized((10**30 + 57,) * 3) is False
 
 
 class TestNormalize:
@@ -197,7 +217,6 @@ class TestClosedFormAgainstMoves:
     def test_move_log_costs_linear_time(self):
         # the rewriting loop rebuilds all 201 weights once per move: 14,000 times
         w = (1,) + (2**14000,) * 200
-        _factor_pairs.cache_clear()
         start = time.perf_counter()
         normalized, moves = normalize_with_moves(w)
         elapsed = time.perf_counter() - start
@@ -212,9 +231,10 @@ class TestValuationLimit:
     def test_boundary(self):
         n = 10_000
         k = MAX_VALUATION_CELLS // n
-        assert is_normalized(tuple(first_primes(k)) + (1,) * (n - k))
+        w = tuple(first_primes(k)) + (1,) * (n - k)
+        assert normalize(w) == w
         with pytest.raises(ResourceLimitError) as err:
-            is_normalized(tuple(first_primes(k + 1)) + (1,) * (n - k - 1))
+            normalize(tuple(first_primes(k + 1)) + (1,) * (n - k - 1))
         assert (err.value.required, err.value.limit) == ((k + 1) * n, MAX_VALUATION_CELLS)
 
     def test_thousand_distinct_primes_answer(self):
@@ -224,9 +244,11 @@ class TestValuationLimit:
 
     def test_every_entry_point_refuses(self):
         w = tuple(first_primes(1001))
-        for f in (normalize, divisor_chain_form, is_normalized, p_content_table, normalize_with_moves, canonical_pair):
+        for f in (normalize, divisor_chain_form, p_content_table, normalize_with_moves, canonical_pair):
             with pytest.raises(ResourceLimitError):
                 f(w)
+        # decided by gcds, with no table
+        assert is_normalized(w) is True
 
 
 class TestPContent:
