@@ -160,7 +160,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_lens(args) -> int:
     w = weights.parse_weights(args.weights)
-    groups = ",\n    ".join(f'"{d}": "{o}"' for d, o in sorted(cohom.lens_cohomology(args.k, w).items()))
+    groups = ",\n    ".join(f'"{d}": "{o}"' for d, o in cohom.lens_cohomology(args.k, w).items())
     _write("lens", f'  "k": "{args.k}",\n  "weights": {_array(w)},\n  "groups": {{\n    {groups}\n  }}')
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 from itertools import accumulate
+from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -41,8 +42,7 @@ def pullback_coefficients(weights: Iterable[int]) -> tuple[int, ...]:
     Entry i is the product, over all primes p, of p raised to the sum of the
     i largest p-valuations of the weights.  Entry 0 is the empty product 1,
     and each entry divides the next.  The vector is used as given; it need
-    not be normalized (lens-space formulas feed augmented vectors through
-    here).
+    not be normalized.
 
     >>> pullback_coefficients((1, 2, 3, 4))
     (1, 12, 24, 24)
@@ -136,20 +136,19 @@ def lens_cohomology(k: int, weights: Iterable[int]) -> dict[int, int]:
 
     The quotient of the odd sphere by the weighted action of the k-th roots
     of unity has infinite cyclic cohomology in degrees 0 and 2n+1, and in
-    each even degree 2i (1 <= i <= n) a cyclic group whose order is the ratio
-    of the multiplier sequences of the k-augmented and the plain vector.
+    each even degree 2i (1 <= i <= n) a cyclic group of order
+    ``k // gcd(k, c[n+1-i])``, c the raw divisor chain of the weights: at a
+    prime p with v_p(k) = a, adjoining k raises the i-th multiplier's sum of
+    the i largest valuations by max(0, a - e_i), where e_i = v_p(c[n+1-i])
+    is the i-th largest valuation of the weights.  k is never factored.
 
     >>> lens_cohomology(2, (1, 1, 2))
     {0: 0, 2: 1, 4: 2, 5: 0}
     """
     w, k = as_weights(weights), _integer(k, "group order k", 1)
     n = len(w) - 1
-    # one table of the augmented vector; the plain vector's chain reads all but its last cell
-    table = _valuations(w + (k,))
-    plain = _pullback(_from_table(table, len(w)))
-    augmented = _pullback(_from_table(table, len(w) + 1))
-    # a further weight never lowers the sum of the i largest valuations at a prime
-    orders = {2 * i: augmented[i] // plain[i] for i in range(1, n + 1)}
+    c = _from_table(_valuations(w), len(w))
+    orders = {2 * i: k // gcd(k, c[n + 1 - i]) for i in range(1, n + 1)}
     return {0: 0, **orders, 2 * n + 1: 0}
 
 

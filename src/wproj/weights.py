@@ -128,13 +128,13 @@ def _valuations(w: Weights, factors: Factors | None = None) -> dict[int, list[in
 
 
 def _from_table(table: Mapping[int, list[int]], length: int) -> Weights:
-    """Raw divisor chain of a valuation table's first ``length`` weights.
+    """Raw divisor chain of a valuation table of ``length`` weights.
 
     Entry i multiplies in p to the i-th smallest of their exponents at p.
     """
     out = [1] * length
     for p, column in table.items():
-        for i, e in enumerate(sorted(column[:length])):
+        for i, e in enumerate(sorted(column)):
             if e:
                 out[i] *= p**e
     return tuple(out)

@@ -1,4 +1,4 @@
-"""Shared test helpers: box enumeration and independent oracles.
+"""Shared test helpers: box enumeration, golden record files and independent oracles.
 
 The oracles here deliberately avoid the library code paths they are used to
 check: factoring is re-done by trial division, normalization is re-done by
@@ -7,12 +7,36 @@ re-done without any factoring by :func:`subset_lcm_sequence` (lcm of subset
 products), and the P-local unit split by :func:`split_prime_by_prime`.
 """
 
+import hashlib
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, zip_longest
+from pathlib import Path
 from typing import Iterable
 
 from wproj.weights import as_weights
+
+GOLDEN = Path(__file__).with_name("golden")
+
+
+def golden_lines(records):
+    """One line per (label, outcome, text) record: its index, its outcome and 16 hex digits of its text's SHA-256."""
+    return [f"{i} {outcome} {hashlib.sha256(text).hexdigest()[:16]}" for i, (_, outcome, text) in enumerate(records)]
+
+
+def golden_mismatches(name, records):
+    """Each record whose line differs from ``golden/<name>``, by index and label; a record missing on one side differs."""
+    expected = (GOLDEN / name).read_text().splitlines()
+    return [
+        f"{i} {records[i][0] if i < len(records) else '(no record)'}: expected {old!r}, got {new!r}"
+        for i, (old, new) in enumerate(zip_longest(expected, golden_lines(records)))
+        if old != new
+    ]
+
+
+def write_golden(name, records):
+    """Rewrite ``golden/<name>`` from the records, so a re-take shows as a diff of the changed lines."""
+    (GOLDEN / name).write_text("".join(line + "\n" for line in golden_lines(records)))
 
 
 def sorted_vectors(length, max_entry):

@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -19,7 +21,7 @@ import wproj
 from wproj import _kernels_py, classify, cli, cohom, numth, weights
 from wproj.cli import main
 
-from helpers import box, first_primes
+from helpers import box, first_primes, golden_mismatches
 
 
 def run_cli(capsys, *argv):
@@ -310,9 +312,8 @@ class TestReportLayout:
 
     # every check reads and clears the capture, so capsys carries nothing between examples
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    # k is drawn like an entry: an arbitrary k up to 2**70 may be a product of two primes past
-    # the trial-division bound, which lens refuses with exit 3 by design
-    @given(vectors, vectors, entries, st.data())
+    # k is never factored: drawn like an entry, to share primes with the weights, or up to 2**70
+    @given(vectors, vectors, st.one_of(entries, st.integers(1, 2**70)), st.data())
     def test_every_command(self, capsys, left, right, k, data):
         self.check(capsys, "normalize", csv(left))
         self.check(capsys, "invariants", csv(left))
@@ -372,8 +373,8 @@ class TestWorkCounts:
         run_json(capsys, *argv)
         # stratum decides its normalized flag by gcds and builds no table
         assert len(tables) == (0 if argv[0] == "stratum" else 1)
-        # one raw chain per form; lens reads the plain and the k-augmented chain
-        assert len(chains) == {"lens": 2, "stratum": 0}.get(argv[0], 1)
+        # one raw chain per form; lens reads the chain of the weights alone
+        assert len(chains) == (0 if argv[0] == "stratum" else 1)
 
     @pytest.mark.parametrize(
         "argv",
@@ -396,6 +397,10 @@ class TestWorkCounts:
         # the common factor 2 is divided out first, leaving 3, 3, 5, 3
         run_json(capsys, "normalize", "6,6,10,6")
         assert scans == [(3,), (5,)]
+        # lens factors the weights alone, never k
+        scans.clear()
+        run_json(capsys, "lens", "5", "2,4,6,9")
+        assert scans == [(2,), (4,), (6,), (9,)]
 
 
 class TestMemory:
@@ -606,7 +611,7 @@ class TestArgvFuzz:
         # the common factor is divided out unfactored
         (["normalize", HUGE_PRIME], {}, 0),
         (["normalize", f"{3 * int(HUGE_PRIME)},{5 * int(HUGE_PRIME)}"], {}, 0),
-        # one valuation table of the weights and k together
+        # one valuation table of the weights alone, past the cell limit
         (["lens", "2", MANY_PRIMES], {}, 3),
         # every integer field is a sign and ASCII digits, whitespace only around it
         (["normalize", "1_000,2"], {}, 2),
@@ -624,6 +629,8 @@ class TestArgvFuzz:
         (["census", "--dim", "1", "--max-weight", "1", "--workers", "\u0661"], {}, 2),
         (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "1_000"}, 2),
         (["census", "--dim", " 1", "--max-weight", "+3\t", "--workers", "1 "], {"WPROJ_CENSUS_LIMIT": " 9 "}, 0),
+        # k is never factored
+        (["lens", HUGE_PRIME, "1,2"], {}, 0),
     ]
 
     @pytest.mark.parametrize("argv, env, expected", CASES)
@@ -660,7 +667,8 @@ class TestGoldenReports:
     one-off commands shared their intermediate results.  It was re-taken once
     ``stratum`` decided its ``normalized`` flag by gcds: the six ``stratum``
     argv holding 2**61 - 1 then answer (exit 0) instead of refusing (exit 3),
-    and no other argv changed.
+    and no other argv changed.  ``golden/reports.txt`` holds one line per argv,
+    so a failure names the argv that changed; ``retake_golden.py`` rewrites it.
     """
 
     ENTRIES = (1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 30, 36, 64, 210, 65521, 65537, 3 * 1048573, 2**32 - 5, 3**40, 2**61 - 1)
@@ -738,18 +746,32 @@ class TestGoldenReports:
                 cases.append([kind, vector()])
         return cases
 
-    def test_digest(self, capsys, monkeypatch):
-        monkeypatch.delenv("WPROJ_CENSUS_LIMIT", raising=False)
-        digest = hashlib.sha256()
-        for argv in self.argv_set():
-            try:
-                code = main(list(argv))
-                usage = False
-            except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
-                code, usage = exc.code, True
-            out, err = capsys.readouterr()
+    @classmethod
+    def records(cls):
+        """(argv, exit code, hashed text) of each argv, its stdout and stderr captured here."""
+        records = []
+        for argv in cls.argv_set():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                    usage = False
+                except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+                    code, usage = exc.code, True
+            out, err = out.getvalue(), err.getvalue()
             if usage:
                 # argparse's wording differs between Python versions; wproj writes none of it
                 out, err = out[:12], err[:12]
-            digest.update(repr((argv, code, out, err)).encode())
+            records.append((argv, code, repr((argv, code, out, err)).encode()))
+        return records
+
+    def test_digest(self, monkeypatch):
+        monkeypatch.delenv("WPROJ_CENSUS_LIMIT", raising=False)
+        records = self.records()
+        # one line per argv names each record that moved; the digest below covers every byte
+        mismatches = golden_mismatches("reports.txt", records)
+        assert not mismatches, "\n".join(mismatches)
+        digest = hashlib.sha256()
+        for _, _, text in records:
+            digest.update(text)
         assert digest.hexdigest() == self.DIGEST

@@ -187,11 +187,28 @@ class TestLensCohomology:
         cases = [(k, w) for w in box(2, 10) for k in range(1, 13)]
         for _ in range(500):
             cases.append((rng.randint(1, 200), tuple(rng.randint(1, 100) for _ in range(rng.randint(1, 5)))))
+        # k sharing primes up to 65537**2 with the weights, or past 2**40 with a cofactor no table holds
+        shared = (2, 3, 5, 7, 65521, 65537)
+
+        def smooth():
+            return math.prod(rng.choice(shared) ** rng.randint(0, 2) for _ in range(rng.randint(0, 3)))
+
+        for _ in range(300):
+            w = tuple(smooth() for _ in range(rng.randint(1, 5)))
+            big = rng.choice((1, 1, 2**61 - 1, 10**30 + 57, rng.randint(2**40, 2**80)))
+            cases.append((smooth() * big, w))
         for k, w in cases:
             groups = lens_cohomology(k, w)
             plain, augmented = subset_lcm_sequence(w), subset_lcm_sequence(w + (k,))
             for i in range(1, len(w)):
                 assert groups[2 * i] == augmented[i] // plain[i]
+
+    def test_k_never_factored(self):
+        # both used to raise ResourceLimitError: k was factored with the weights
+        for k, w in [(10**30 + 57, (1, 2)), (6 * (2**61 - 1), (2, 4, 6, 9))]:
+            plain, augmented = subset_lcm_sequence(w), subset_lcm_sequence(w + (k,))
+            expected = {2 * i: augmented[i] // plain[i] for i in range(1, len(w))}
+            assert lens_cohomology(k, w) == {0: 0, **expected, 2 * len(w) - 1: 0}
 
     def test_circle_quotient(self):
         # a single weight gives the circle, whatever k is

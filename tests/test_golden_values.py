@@ -4,6 +4,8 @@ Each function in a module's ``__all__``, and the validated ``RingPresentation``
 constructor, is called on inputs drawn from a fixed seed.  The ``repr`` of
 each result, or the type and message of each ``WprojError`` raised, goes into
 one SHA-256, so a refactor that changes any value or refusal changes it.
+``golden/values.txt`` holds one line per call, so a failure names the calls
+that changed.
 The CLI has its own digest in ``test_cli.TestGoldenReports``.
 """
 
@@ -14,6 +16,8 @@ from fractions import Fraction
 
 from wproj import classify, cohom, numth, strata, weights
 from wproj.errors import WprojError
+
+from helpers import golden_mismatches
 
 MODULES = (classify, cohom, numth, strata, weights)
 ENTRIES = (1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 30, 36, 64, 210, 65521, 65537, 3 * 1048573, 2**32 - 5, 3**40)
@@ -153,16 +157,28 @@ def test_every_public_function_drawn():
     assert set(DRAWS) == set(public_callables())
 
 
-def test_digest():
+def records():
+    """(call, outcome, hashed text) of each drawn call; the outcome is "ok" or the type of the error raised."""
     functions = public_callables()
     rng = random.Random(20110908)
-    digest = hashlib.sha256()
+    out = []
     for _ in range(ROUNDS):
         for name, draw in DRAWS.items():
             args = draw(rng)
             try:
-                outcome = functions[name](*args)
+                outcome, kind = functions[name](*args), "ok"
             except WprojError as exc:
-                outcome = (type(exc).__name__, str(exc))
-            digest.update(repr((name, args, outcome)).encode())
+                outcome, kind = (type(exc).__name__, str(exc)), type(exc).__name__
+            out.append((f"{name}{args!r}", kind, repr((name, args, outcome)).encode()))
+    return out
+
+
+def test_digest():
+    found = records()
+    # one line per call names each record that moved; the digest below covers every byte
+    mismatches = golden_mismatches("values.txt", found)
+    assert not mismatches, "\n".join(mismatches)
+    digest = hashlib.sha256()
+    for _, _, text in found:
+        digest.update(text)
     assert digest.hexdigest() == DIGEST
