@@ -1,4 +1,4 @@
-"""The canonical-form kernel behind :mod:`wproj.classify`.
+"""The canonical-form kernel behind the census and ``wproj compare``.
 
 Arbitrary precision; its only input bounds are the factoring bound of
 :mod:`wproj.numth` and the valuation-table bound of :mod:`wproj.weights`.

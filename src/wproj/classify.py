@@ -4,7 +4,8 @@ Two weight vectors present homeomorphic spaces exactly when their sorted
 normalized forms agree, and homotopy-equivalent spaces exactly when their
 divisor-chain forms agree.  Both forms are permutation- and scale-invariant,
 so the census enumerates weight multisets only (non-decreasing tuples).
-The census checks once that homeomorphism refines homotopy equivalence.
+The homeomorphism form never factors.  The census checks once that
+homeomorphism refines homotopy equivalence.
 
 Genus rigidity means membership in the same localization genus coincides
 with homotopy equivalence, so no separate predicate is exposed for it.
@@ -21,7 +22,7 @@ from typing import Iterable, NamedTuple
 from . import _kernels_py
 from .errors import ResourceLimitError
 from .numth import _integer, _scan
-from .weights import Factors, Weights
+from .weights import Factors, Weights, divisor_chain_form, normalize
 
 __all__ = [
     "homeo_canonical_form",
@@ -43,7 +44,7 @@ def homeo_canonical_form(weights: Iterable[int]) -> Weights:
     >>> homeo_canonical_form((2, 4, 6))
     (1, 2, 3)
     """
-    return _kernels_py.canonical_pair(weights)[0]
+    return tuple(sorted(normalize(weights)))
 
 
 def homotopy_canonical_form(weights: Iterable[int]) -> Weights:
@@ -55,7 +56,7 @@ def homotopy_canonical_form(weights: Iterable[int]) -> Weights:
     >>> homotopy_canonical_form((1, 2, 3))
     (1, 1, 6)
     """
-    return _kernels_py.canonical_pair(weights)[1]
+    return divisor_chain_form(weights)
 
 
 def homeomorphic(a: Iterable[int], b: Iterable[int]) -> bool:

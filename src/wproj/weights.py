@@ -1,15 +1,14 @@
 """Weight-vector calculus.
 
 A weighted projective space is represented purely by its weight vector, a
-tuple of positive integers.  Every invariant is read from one table of
-per-prime valuations.  ``_from_table`` reads the table's raw divisor chain,
-whose entry i multiplies in each prime to its i-th smallest valuation;
-multiplier sequences are built from that chain, and ``_forms`` derives both
-canonical forms from it, the normalized vector and the divisor-chain form.
-Only output that names a prime reads a valuation column: the move log of
-:func:`normalize_with_moves` and the p-content table.  :func:`is_normalized`
-needs no table: it is decided by gcds alone.  Divisor counts reconstruct
-normalized weights from local data.
+tuple of positive integers.  :func:`normalize` is read off gcds alone; every
+other invariant is read from one table of per-prime valuations.
+``_from_table`` reads the table's raw divisor chain, whose entry i
+multiplies in each prime to its i-th smallest valuation; multiplier
+sequences are built from that chain, and ``_forms`` derives both canonical
+forms from it.  Only output that names a prime reads a valuation column: the
+move log of :func:`normalize_with_moves` and the p-content table.  Divisor
+counts reconstruct normalized weights from local data.
 Each table factors its entries afresh: no factorization outlives its call,
 except the census's one dict of its box, which lives as long as the census.
 
@@ -143,9 +142,7 @@ def _from_table(table: Mapping[int, list[int]], length: int) -> Weights:
 def _forms(w: Weights, table: Mapping[int, list[int]]) -> tuple[Weights, Weights]:
     """(normalized vector, divisor-chain form) of ``w``, read off its raw divisor chain.
 
-    The raw chain's second entry g is every prime raised to its
-    second-smallest valuation, exactly what normalization divides out at that
-    prime: the normalized entries are ``w_i // gcd(w_i, g)`` and the later
+    The raw chain's second entry is :func:`normalize`'s g, and the later
     chain entries divided by g form the divisor-chain form.  A single weight
     has g = w_0, so both forms are ``(1,)``.
     """
@@ -155,23 +152,13 @@ def _forms(w: Weights, table: Mapping[int, list[int]]) -> tuple[Weights, Weights
 
 
 def is_normalized(weights: Iterable[int]) -> bool:
-    """Whether normalizing leaves the vector unchanged.
-
-    Equivalently, every prime leaves at least two weights undivided: every
-    ``len(w) - 1`` of the weights have gcd 1.  That is read off prefix and
-    suffix gcds in O(n), without factoring.  A single weight is normalized
-    exactly when it equals 1 (the point).
+    """Whether normalizing leaves the vector unchanged; a single weight is normalized exactly when it is 1.
 
     >>> is_normalized((1, 2, 3, 4)), is_normalized((1, 2, 4))
     (True, False)
     """
     w = as_weights(weights)
-    if len(w) == 1:
-        return w == (1,)
-    prefix = [0, *accumulate(w, math.gcd)]  # prefix[i] = gcd(w[:i])
-    suffix = [*accumulate(reversed(w), math.gcd)][::-1] + [0]  # suffix[i] = gcd(w[i:])
-    # the weights other than w[i] have gcd(prefix[i], suffix[i + 1])
-    return all(math.gcd(a, b) == 1 for a, b in zip(prefix, suffix[1:]))
+    return normalize(w) == w
 
 
 def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
@@ -181,7 +168,8 @@ def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
     ascending order, repeatedly dividing all weights but the unique p-coprime
     one by p until at least two weights are coprime to p.  Moves at one prime
     never disturb another prime's content, so each prime's moves are read off
-    its valuation column: as many as its second-smallest valuation.
+    its valuation column: as many as its second-smallest valuation.  Only the
+    moves, which name primes, read the table.
     """
     w = as_weights(weights)
     moves: list[Move] = []
@@ -189,15 +177,20 @@ def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
     if g > 1:
         w = tuple(x // g for x in w)
         moves.append(("scale", g))
-    table = _valuations(w)
-    for p, column in sorted(table.items()):
+    for p, column in sorted(_valuations(w).items()):
         # with the gcd gone every column holds a 0; a single weight is now (1,) and has none
         moves += [("reduce", p, column.index(0))] * sorted(column)[1]
-    return _forms(w, table)[0], moves
+    return normalize(w), moves
 
 
 def normalize(weights: Iterable[int]) -> Weights:
     """Unique normalized form of a weight vector, coordinate order preserved.
+
+    Each weight is divided by g, every prime to its second-smallest
+    valuation.  g is the lcm over i of the gcd of the weights other than w_i
+    (at p that gcd has the smallest valuation, or the second-smallest when
+    w_i alone has the smallest), read off prefix and suffix gcds without
+    factoring.  A single weight leaves g = gcd() = 0 and normalizes to (1,).
 
     >>> normalize((2, 4, 6))
     (1, 2, 3)
@@ -205,7 +198,10 @@ def normalize(weights: Iterable[int]) -> Weights:
     (1, 1, 1)
     """
     w = as_weights(weights)
-    return _forms(w, _valuations(w))[0]
+    prefix = [0, *accumulate(w, math.gcd)]  # prefix[i] = gcd(w[:i])
+    suffix = [*accumulate(reversed(w), math.gcd)][::-1] + [0]  # suffix[i] = gcd(w[i:])
+    g = math.lcm(*map(math.gcd, prefix, suffix[1:]))
+    return tuple(x // math.gcd(x, g) for x in w)
 
 
 def p_content(weights: Iterable[int], p: int) -> Weights:

@@ -24,19 +24,38 @@ def golden_lines(records):
     return [f"{i} {outcome} {hashlib.sha256(text).hexdigest()[:16]}" for i, (_, outcome, text) in enumerate(records)]
 
 
-def golden_mismatches(name, records):
-    """Each record whose line differs from ``golden/<name>``, by index and label; a record missing on one side differs."""
+def _moved(name, records):
+    """(index, label, old line, new line) of each record whose line differs from ``golden/<name>``; a missing line is None."""
     expected = (GOLDEN / name).read_text().splitlines()
     return [
-        f"{i} {records[i][0] if i < len(records) else '(no record)'}: expected {old!r}, got {new!r}"
+        (i, records[i][0] if i < len(records) else "(no record)", old, new)
         for i, (old, new) in enumerate(zip_longest(expected, golden_lines(records)))
         if old != new
     ]
 
 
+def golden_mismatches(name, records):
+    """Each record whose line differs from ``golden/<name>``, by index and label; a record missing on one side differs."""
+    return [f"{i} {label}: expected {old!r}, got {new!r}" for i, label, old, new in _moved(name, records)]
+
+
+def golden_digest(records):
+    """SHA-256 hex digest of every record's text, in order: what each ``DIGEST`` pins."""
+    digest = hashlib.sha256()
+    for _, _, text in records:
+        digest.update(text)
+    return digest.hexdigest()
+
+
 def write_golden(name, records):
-    """Rewrite ``golden/<name>`` from the records, so a re-take shows as a diff of the changed lines."""
+    """Rewrite ``golden/<name>`` from the records; one line per record that moved: index, label, old -> new outcome."""
+    moved = _moved(name, records)
     (GOLDEN / name).write_text("".join(line + "\n" for line in golden_lines(records)))
+
+    def outcome(line):
+        return line.split()[1] if line else "(none)"
+
+    return [f"{i} {label}: {outcome(old)} -> {outcome(new)}" for i, label, old, new in moved]
 
 
 def sorted_vectors(length, max_entry):

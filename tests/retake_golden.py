@@ -2,16 +2,22 @@
 
     PYTHONPATH=src python tests/retake_golden.py
 
-Run it only for a change meant to move golden records.  ``git diff tests/golden``
-then names each record that moved; re-take the matching ``DIGEST`` with it.
+Run it only for a change meant to move golden records.  It prints each record
+that moved (file, index, label, old -> new outcome) and both new digests, to
+paste into ``test_cli.TestGoldenReports.DIGEST`` and ``test_golden_values.DIGEST``.
 """
 
 import os
 
 import test_cli
 import test_golden_values
-from helpers import write_golden
+from helpers import golden_digest, write_golden
 
 os.environ.pop("WPROJ_CENSUS_LIMIT", None)
-write_golden("reports.txt", test_cli.TestGoldenReports.records())
-write_golden("values.txt", test_golden_values.records())
+for name, records, owner in (
+    ("reports.txt", test_cli.TestGoldenReports.records(), "test_cli.TestGoldenReports.DIGEST"),
+    ("values.txt", test_golden_values.records(), "test_golden_values.DIGEST"),
+):
+    for line in write_golden(name, records):
+        print(f"{name} {line}")
+    print(f"{owner} = {golden_digest(records)!r}")

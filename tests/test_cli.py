@@ -21,7 +21,7 @@ import wproj
 from wproj import _kernels_py, classify, cli, cohom, numth, weights
 from wproj.cli import main
 
-from helpers import box, first_primes, golden_mismatches
+from helpers import box, first_primes, golden_digest, golden_mismatches
 
 
 def run_cli(capsys, *argv):
@@ -373,8 +373,9 @@ class TestWorkCounts:
         run_json(capsys, *argv)
         # stratum decides its normalized flag by gcds and builds no table
         assert len(tables) == (0 if argv[0] == "stratum" else 1)
-        # one raw chain per form; lens reads the chain of the weights alone
-        assert len(chains) == (0 if argv[0] == "stratum" else 1)
+        # one raw chain per form; lens reads the chain of the weights alone;
+        # normalize reads its table only for the moves, and no chain
+        assert len(chains) == (0 if argv[0] in ("stratum", "normalize") else 1)
 
     @pytest.mark.parametrize(
         "argv",
@@ -771,7 +772,4 @@ class TestGoldenReports:
         # one line per argv names each record that moved; the digest below covers every byte
         mismatches = golden_mismatches("reports.txt", records)
         assert not mismatches, "\n".join(mismatches)
-        digest = hashlib.sha256()
-        for _, _, text in records:
-            digest.update(text)
-        assert digest.hexdigest() == self.DIGEST
+        assert golden_digest(records) == self.DIGEST

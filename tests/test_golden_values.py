@@ -5,11 +5,12 @@ constructor, is called on inputs drawn from a fixed seed.  The ``repr`` of
 each result, or the type and message of each ``WprojError`` raised, goes into
 one SHA-256, so a refactor that changes any value or refusal changes it.
 ``golden/values.txt`` holds one line per call, so a failure names the calls
-that changed.
+that changed.  It was re-taken once the homeomorphism form was read off gcds:
+four calls holding 2**61 - 1 (indices 36, 782, 954, 1054) then answer instead
+of refusing, and no other call changed.
 The CLI has its own digest in ``test_cli.TestGoldenReports``.
 """
 
-import hashlib
 import inspect
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 from wproj import classify, cohom, numth, strata, weights
 from wproj.errors import WprojError
 
-from helpers import golden_mismatches
+from helpers import golden_digest, golden_mismatches
 
 MODULES = (classify, cohom, numth, strata, weights)
 ENTRIES = (1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 30, 36, 64, 210, 65521, 65537, 3 * 1048573, 2**32 - 5, 3**40)
@@ -140,7 +141,7 @@ DRAWS = {
     "p_coprime_parts": lambda rng: (vector(rng), prime(rng)),
 }
 ROUNDS = 40
-DIGEST = "120a383ebfea73992642d54dfb785cbd7b5220a53ab4350cf8ab1d17122cf1f2"
+DIGEST = "078a7742894b02c282696c2985ec0263fd831db83a76ed282c8252e7f9f32474"
 
 
 def public_callables():
@@ -178,7 +179,4 @@ def test_digest():
     # one line per call names each record that moved; the digest below covers every byte
     mismatches = golden_mismatches("values.txt", found)
     assert not mismatches, "\n".join(mismatches)
-    digest = hashlib.sha256()
-    for _, _, text in found:
-        digest.update(text)
-    assert digest.hexdigest() == DIGEST
+    assert golden_digest(found) == DIGEST

@@ -8,8 +8,9 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wproj import _kernels_py, classify, numth, weights
 from wproj._kernels_py import canonical_pair
-from wproj.classify import homeomorphic
+from wproj.classify import homeo_canonical_form, homeomorphic
 from wproj.errors import InconsistentDataError, InvalidInputError, ResourceLimitError
 from wproj.numth import p_part
 from wproj.weights import (
@@ -90,6 +91,11 @@ class TestAsWeights:
             homeomorphic((2.9, 3), (2, 3))
 
 
+def table_normalize(w):
+    """The normalization the kernel reads off the raw divisor chain of the valuation table."""
+    return weights._forms(w, weights._valuations(w))[0]
+
+
 class TestIsNormalized:
     def test_examples(self):
         assert is_normalized((1, 2, 3, 4)) is True
@@ -100,17 +106,22 @@ class TestIsNormalized:
         assert is_normalized((1,)) is True
         assert is_normalized((5,)) is False
 
+    # is_normalized is normalize(w) == w, so both are checked against the
+    # normalization the kernel reads off the valuation table's divisor chain
     def test_agrees_with_normalize_on_a_box(self):
         for w in box(3, 20):
-            assert is_normalized(w) == (normalize(w) == w)
+            nw = table_normalize(w)
+            assert normalize(w) == nw and is_normalized(w) == (nw == w)
 
     @given(_past_2_64, st.lists(st.one_of(st.integers(1, 60), _large_entries, _past_2_64), max_size=5))
+    @example(2**70, [])
     @example(2**70, [3**50])
     @example(2**70, [3**50, 1])
     @example(2**65, [1, 3 * 2**65])
     def test_agrees_with_normalize_past_2_64(self, big, rest):
         w = (big, *rest)
-        assert is_normalized(w) == (normalize(w) == w)
+        nw = table_normalize(w)
+        assert normalize(w) == nw and is_normalized(w) == (nw == w)
 
     def test_answers_without_factoring(self):
         # 10**30 + 57 has no divisor up to the trial-division bound
@@ -190,6 +201,38 @@ class TestNormalize:
         assert normalize(tuple(m * x for x in w)) == normalize(w)
 
 
+class TestNormalizeWithoutFactoring:
+    """Normalization and the homeomorphism form are read off gcds: no entry is factored."""
+
+    def test_no_table_and_no_scan(self, monkeypatch):
+        calls = []
+
+        def counting(f):
+            def wrapped(*args):
+                calls.append(f.__name__)
+                return f(*args)
+
+            return wrapped
+
+        scan = counting(numth._scan)
+        for owner in (numth, weights, classify):
+            monkeypatch.setattr(owner, "_scan", scan)
+        table = counting(weights._valuations)
+        for owner in (weights, _kernels_py):
+            monkeypatch.setattr(owner, "_valuations", table)
+        assert normalize((4, 8, 12, 18)) == (1, 2, 3, 9)
+        assert is_normalized((1, 2, 3, 4)) and not is_normalized((4, 8, 12, 18))
+        assert homeo_canonical_form((4, 8, 12, 18)) == (1, 2, 3, 9)
+        assert homeomorphic((4, 8, 12, 18), (9, 3, 2, 1))
+        assert calls == []
+
+    def test_unfactorable_entries_answer(self):
+        P = 10**30 + 57  # past the Miller-Rabin proof, with no divisor up to the trial-division bound
+        assert normalize((P, 2 * P, 3)) == (1, 2, 3)
+        assert homeomorphic((P, 2 * P, 3), (3, 1, 2))
+        assert normalize((P,)) == (1,)
+
+
 class TestClosedFormAgainstMoves:
     """The closed-form core checked against the rewriting system it replaces."""
 
@@ -232,9 +275,9 @@ class TestValuationLimit:
         n = 10_000
         k = MAX_VALUATION_CELLS // n
         w = tuple(first_primes(k)) + (1,) * (n - k)
-        assert normalize(w) == w
+        assert divisor_chain_form(w) == (1,) * (n - 1) + (math.prod(w),)
         with pytest.raises(ResourceLimitError) as err:
-            normalize(tuple(first_primes(k + 1)) + (1,) * (n - k - 1))
+            divisor_chain_form(tuple(first_primes(k + 1)) + (1,) * (n - k - 1))
         assert (err.value.required, err.value.limit) == ((k + 1) * n, MAX_VALUATION_CELLS)
 
     def test_thousand_distinct_primes_answer(self):
@@ -244,10 +287,11 @@ class TestValuationLimit:
 
     def test_every_entry_point_refuses(self):
         w = tuple(first_primes(1001))
-        for f in (normalize, divisor_chain_form, p_content_table, normalize_with_moves, canonical_pair):
+        for f in (divisor_chain_form, p_content_table, normalize_with_moves, canonical_pair):
             with pytest.raises(ResourceLimitError):
                 f(w)
         # decided by gcds, with no table
+        assert normalize(w) == w
         assert is_normalized(w) is True
 
 
