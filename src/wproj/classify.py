@@ -136,10 +136,10 @@ def census(dimension: int, max_weight: int, limit: int | None = None, workers: i
     enumeration by first entry across at most
     ``min(workers, max_weight, os.cpu_count())`` processes; the merged
     report is identical either way.  Arguments are converted by
-    ``operator.index``: a float or a string raises :class:`InvalidInputError`.
+    ``operator.index``: a float, a string or a negative limit raises :class:`InvalidInputError`.
     """
     dimension, max_weight = _integer(dimension, "dimension", 0), _integer(max_weight, "max_weight", 1)
-    limit = DEFAULT_CENSUS_LIMIT if limit is None else _integer(limit, "limit")
+    limit = DEFAULT_CENSUS_LIMIT if limit is None else _integer(limit, "limit", 0)
     workers = _integer(workers, "workers", 1)
     total = _multiset_count(dimension, max_weight, limit)
     if total > limit:

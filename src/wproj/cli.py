@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from . import _kernels_py, classify, cohom, strata, weights
 from .errors import InvalidInputError, ResourceLimitError
-from .numth import _p_power, unit_split
+from .numth import unit_split
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -106,9 +106,10 @@ def _check_report_entries(w: weights.Weights, count: int, what: str) -> None:
 def _cmd_invariants(args) -> int:
     w = weights.parse_weights(args.weights)
     _check_report_entries(w, (len(w) + 1) ** 2 // 4, "structure constants")
-    # every invariant below is read off one valuation table of the input
-    table = weights._valuations(w)
-    nw, chain = weights._forms(w, table)
+    # every invariant below is read off the normalization and its one valuation table
+    nw = weights.normalize(w)
+    table = weights._valuations(nw)
+    chain = weights._from_table(table, len(nw))  # nw is normalized: its raw chain is its divisor-chain form
     presentation = cohom._ring(cohom._pullback(chain))
     try:  # the top pullback coefficient bounds every number in the report
         pullback = _array(presentation.pullback)
@@ -119,8 +120,7 @@ def _cmd_invariants(args) -> int:
             "the interpreter's limit for printing an integer",
             limit=digits,
         ) from None
-    # the normalization's p-content, at each prime of the input that still divides it
-    p_content = {p: [_p_power(x, p) for x in nw] for p in sorted(table) if any(x % p == 0 for x in nw)}
+    p_content = {p: [p**e for e in column] for p, column in sorted(table.items())}
     pad = "\n      "
     columns = ",\n    ".join(
         f'"{p}": {{{pad}"parts": {_array(parts, pad)},{pad}"sorted": {_array(sorted(parts), pad)}\n    }}'

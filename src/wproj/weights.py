@@ -1,14 +1,14 @@
 """Weight-vector calculus.
 
 A weighted projective space is represented purely by its weight vector, a
-tuple of positive integers.  :func:`normalize` is read off gcds alone; every
-other invariant is read from one table of per-prime valuations.
-``_from_table`` reads the table's raw divisor chain, whose entry i
-multiplies in each prime to its i-th smallest valuation; multiplier
-sequences are built from that chain, and ``_forms`` derives both canonical
-forms from it.  Only output that names a prime reads a valuation column: the
-move log of :func:`normalize_with_moves` and the p-content table.  Divisor
-counts reconstruct normalized weights from local data.
+tuple of positive integers.  :func:`normalize` is read off the leave-one-out
+gcds gcd(w_j : j != i) alone, and the move log of :func:`normalize_with_moves`
+factors only those gcds; every other invariant is read from one table of
+per-prime valuations.  ``_from_table`` reads the table's raw divisor chain,
+whose entry i multiplies in each prime to its i-th smallest valuation;
+multiplier sequences are built from that chain, and ``_forms`` derives both
+canonical forms from it.  Only the p-content table reads a valuation column
+by its prime.  Divisor counts reconstruct normalized weights from local data.
 Each table factors its entries afresh: no factorization outlives its call,
 except the census's one dict of its box, which lives as long as the census.
 
@@ -151,6 +151,12 @@ def _forms(w: Weights, table: Mapping[int, list[int]]) -> tuple[Weights, Weights
     return tuple(x // math.gcd(x, g) for x in w), (1, *(x // g for x in c[1:]))
 
 
+def _leave_one_out_gcds(w: Weights) -> list[int]:
+    """gcd(w_j : j != i) for each i, read off prefix and suffix gcds; a single weight gives [0]."""
+    suffix = [*accumulate(reversed(w), math.gcd)][::-1] + [0]  # suffix[i] = gcd(w[i:])
+    return [*map(math.gcd, [0, *accumulate(w, math.gcd)], suffix[1:])]  # gcd(w[:i]) with suffix[i + 1]
+
+
 def is_normalized(weights: Iterable[int]) -> bool:
     """Whether normalizing leaves the vector unchanged; a single weight is normalized exactly when it is 1.
 
@@ -166,10 +172,10 @@ def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
 
     Deterministic order: divide out the gcd first, then treat primes in
     ascending order, repeatedly dividing all weights but the unique p-coprime
-    one by p until at least two weights are coprime to p.  Moves at one prime
-    never disturb another prime's content, so each prime's moves are read off
-    its valuation column: as many as its second-smallest valuation.  Only the
-    moves, which name primes, read the table.
+    one by p until at least two weights are coprime to p.  With the gcd gone,
+    p divides the leave-one-out gcd h_i exactly when it divides every weight
+    but w_i, so the h_i are pairwise coprime and v_p(h_i) counts the moves
+    at p fixing index i.  Only the h_i above 1 are factored.
     """
     w = as_weights(weights)
     moves: list[Move] = []
@@ -177,9 +183,8 @@ def normalize_with_moves(weights: Iterable[int]) -> tuple[Weights, list[Move]]:
     if g > 1:
         w = tuple(x // g for x in w)
         moves.append(("scale", g))
-    for p, column in sorted(_valuations(w).items()):
-        # with the gcd gone every column holds a 0; a single weight is now (1,) and has none
-        moves += [("reduce", p, column.index(0))] * sorted(column)[1]
+    steps = sorted((p, i, e) for i, h in enumerate(_leave_one_out_gcds(w)) if h > 1 for p, e in _scan(h))
+    moves += [("reduce", p, i) for p, i, e in steps for _ in range(e)]
     return normalize(w), moves
 
 
@@ -187,10 +192,10 @@ def normalize(weights: Iterable[int]) -> Weights:
     """Unique normalized form of a weight vector, coordinate order preserved.
 
     Each weight is divided by g, every prime to its second-smallest
-    valuation.  g is the lcm over i of the gcd of the weights other than w_i
-    (at p that gcd has the smallest valuation, or the second-smallest when
-    w_i alone has the smallest), read off prefix and suffix gcds without
-    factoring.  A single weight leaves g = gcd() = 0 and normalizes to (1,).
+    valuation.  g is the lcm of the leave-one-out gcds h_i = gcd(w_j : j != i)
+    (at p, h_i has the smallest valuation, or the second-smallest when w_i
+    alone has the smallest), so no weight is factored.  A single weight
+    leaves g = 0 and normalizes to (1,).
 
     >>> normalize((2, 4, 6))
     (1, 2, 3)
@@ -198,9 +203,7 @@ def normalize(weights: Iterable[int]) -> Weights:
     (1, 1, 1)
     """
     w = as_weights(weights)
-    prefix = [0, *accumulate(w, math.gcd)]  # prefix[i] = gcd(w[:i])
-    suffix = [*accumulate(reversed(w), math.gcd)][::-1] + [0]  # suffix[i] = gcd(w[i:])
-    g = math.lcm(*map(math.gcd, prefix, suffix[1:]))
+    g = math.lcm(*_leave_one_out_gcds(w))
     return tuple(x // math.gcd(x, g) for x in w)
 
 

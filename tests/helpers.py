@@ -5,6 +5,8 @@ check: factoring is re-done by trial division, normalization is re-done by
 deterministic and by randomized rewriting, the multiplier sequence is
 re-done without any factoring by :func:`subset_lcm_sequence` (lcm of subset
 products), and the P-local unit split by :func:`split_prime_by_prime`.
+:func:`table_normalize_with_moves` keeps the move log as it was once read
+off a valuation table of every weight, to check the leave-one-out route.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ from itertools import combinations, combinations_with_replacement, zip_longest
 from pathlib import Path
 from typing import Iterable
 
-from wproj.weights import as_weights
+from wproj.weights import _valuations, as_weights, normalize
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -154,6 +156,25 @@ def rewrite_normalize(weights):
             w = [x if i == keep else x // p for i, x in enumerate(w)]
             moves.append(("reduce", p, keep))
     return tuple(w), moves
+
+
+def table_normalize_with_moves(weights):
+    """The move log read off a valuation table of the weights; returns (vector, moves).
+
+    After the gcd is divided out, unfactored, each prime p in ascending order
+    adds as many reduce moves as its second-smallest valuation, all fixing
+    the one weight p does not divide.  Refuses what the table refuses.
+    """
+    w = as_weights(weights)
+    moves = []
+    g = math.gcd(*w)
+    if g > 1:
+        w = tuple(x // g for x in w)
+        moves.append(("scale", g))
+    for p, column in sorted(_valuations(w).items()):
+        # with the gcd gone every column holds a 0; a single weight is now (1,) and has none
+        moves += [("reduce", p, column.index(0))] * sorted(column)[1]
+    return normalize(w), moves
 
 
 def subset_lcm_sequence(weights: Iterable[int]) -> tuple[int, ...]:

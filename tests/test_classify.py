@@ -265,6 +265,9 @@ class TestCensus:
         for workers in (0, -1):
             with pytest.raises(InvalidInputError):
                 census(1, 3, workers=workers)
+        # an invalid budget, not an exhausted one
+        with pytest.raises(InvalidInputError, match="^limit must be nonnegative, got -1$"):
+            census(1, 3, limit=-1)
 
     @pytest.mark.parametrize(
         "args, kwargs, named",

@@ -371,11 +371,16 @@ class TestWorkCounts:
         tables = self.count(monkeypatch, [weights, cohom], "_valuations")
         chains = self.count(monkeypatch, [weights, cohom], "_from_table")
         run_json(capsys, *argv)
-        # stratum decides its normalized flag by gcds and builds no table
-        assert len(tables) == (0 if argv[0] == "stratum" else 1)
-        # one raw chain per form; lens reads the chain of the weights alone;
-        # normalize reads its table only for the moves, and no chain
+        # stratum and normalize read gcds alone and build no table
+        assert len(tables) == (0 if argv[0] in ("stratum", "normalize") else 1)
+        # one raw chain per form; lens reads the chain of the weights alone
         assert len(chains) == (0 if argv[0] in ("stratum", "normalize") else 1)
+
+    def test_invariants_tables_its_normalization(self, capsys, monkeypatch):
+        tables = self.count(monkeypatch, [weights, cohom], "_valuations")
+        report = run_json(capsys, "invariants", "2,4,6,9")
+        assert report["normalized"] == ["1", "2", "3", "9"]
+        assert tables == [((1, 2, 3, 9),)]
 
     @pytest.mark.parametrize(
         "argv",
@@ -395,13 +400,20 @@ class TestWorkCounts:
 
     def test_each_distinct_entry_scanned_once(self, capsys, monkeypatch):
         scans = self.count(monkeypatch, [numth, weights], "_scan")
-        # the common factor 2 is divided out first, leaving 3, 3, 5, 3
+        # the common factor 2 is divided out first, leaving 3, 3, 5, 3, whose
+        # only leave-one-out gcd above 1 is gcd(3, 3, 3) = 3, at index 2
         run_json(capsys, "normalize", "6,6,10,6")
-        assert scans == [(3,), (5,)]
+        assert scans == [(3,)]
         # lens factors the weights alone, never k
         scans.clear()
         run_json(capsys, "lens", "5", "2,4,6,9")
         assert scans == [(2,), (4,), (6,), (9,)]
+
+    def test_normalize_scans_no_gcd_of_one(self, capsys, monkeypatch):
+        scans = self.count(monkeypatch, [numth, weights], "_scan")
+        P = 10**30 + 57  # past the trial-division bound; every leave-one-out gcd of (1, 2, P) is 1
+        report = run_json(capsys, "normalize", f"1,2,{P}")
+        assert (report["normalized"], report["moves"], scans) == (["1", "2", str(P)], [], [])
 
 
 class TestMemory:
@@ -580,7 +592,8 @@ class TestArgvFuzz:
         (["normalize", "9" * 5000], {}, 2),
         (["normalize", f"3,{HUGE_PRIME}"], {}, 3),
         (["invariants", "0,1"], {}, 2),
-        (["invariants", f"2,{HUGE_PRIME}"], {}, 3),
+        # the table is of the normalization (1, 1), which drops the prime
+        (["invariants", f"2,{HUGE_PRIME}"], {}, 0),
         (["compare", "1,2", ""], {}, 2),
         (["compare", HUGE_PRIME, "1,2"], {}, 3),
         (["lens", "0", "1,2"], {}, 2),
@@ -604,7 +617,8 @@ class TestArgvFuzz:
         (["census", "--dim", "x", "--max-weight", "3"], {}, 2),
         (["census", "--dim", "3", "--max-weight", "500"], {}, 3),
         (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "abc"}, 2),
-        (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "-5"}, 3),
+        # 6 multisets past a budget of 5
+        (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "5"}, 3),
         (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": ""}, 0),
     ] + BOUNDED + [
         # after BOUNDED, so that earlier cases keep their ids
@@ -632,6 +646,9 @@ class TestArgvFuzz:
         (["census", "--dim", " 1", "--max-weight", "+3\t", "--workers", "1 "], {"WPROJ_CENSUS_LIMIT": " 9 "}, 0),
         # k is never factored
         (["lens", HUGE_PRIME, "1,2"], {}, 0),
+        # a negative budget is invalid input, not an exhausted one
+        (["census", "--dim", "1", "--max-weight", "3", "--limit", "-1"], {}, 2),
+        (["census", "--dim", "1", "--max-weight", "3"], {"WPROJ_CENSUS_LIMIT": "-1"}, 2),
     ]
 
     @pytest.mark.parametrize("argv, env, expected", CASES)
@@ -668,8 +685,13 @@ class TestGoldenReports:
     one-off commands shared their intermediate results.  It was re-taken once
     ``stratum`` decided its ``normalized`` flag by gcds: the six ``stratum``
     argv holding 2**61 - 1 then answer (exit 0) instead of refusing (exit 3),
-    and no other argv changed.  ``golden/reports.txt`` holds one line per argv,
-    so a failure names the argv that changed; ``retake_golden.py`` rewrites it.
+    and no other argv changed.  It was re-taken again once the move log was
+    read off the leave-one-out gcds and ``invariants`` off the normalization's
+    table: 16 ``normalize`` and ``invariants`` argv holding 2**61 - 1
+    (indices 33, 66, 76, 81, 89, 98, 124, 152, 204, 205, 254, 277, 336, 350,
+    390, 442) then answer instead of refusing, and no other argv changed.
+    ``golden/reports.txt`` holds one line per argv, so a failure names the
+    argv that changed; ``retake_golden.py`` rewrites it.
     """
 
     ENTRIES = (1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 30, 36, 64, 210, 65521, 65537, 3 * 1048573, 2**32 - 5, 3**40, 2**61 - 1)
@@ -709,7 +731,7 @@ class TestGoldenReports:
         ["split", "-4/9", "--primes", "2,3"],
     ]
     COUNT = 500
-    DIGEST = "f44383bc9f23c2df2a4f2d32d3744cca8092f7718693a0712e4305f34fa7f863"
+    DIGEST = "ab74d52f7c21554279aa9aa03c459c327d50ae604db6925900d81e582b9f4dd1"
 
     @classmethod
     def argv_set(cls):

@@ -29,7 +29,16 @@ from wproj.weights import (
     reconstruct_weights,
 )
 
-from helpers import apply_move, box, first_primes, primes_dividing, randomized_normalize, rewrite_normalize, sorted_vectors
+from helpers import (
+    apply_move,
+    box,
+    first_primes,
+    primes_dividing,
+    randomized_normalize,
+    rewrite_normalize,
+    sorted_vectors,
+    table_normalize_with_moves,
+)
 
 weight_vectors = st.lists(st.integers(1, 60), min_size=1, max_size=5).map(tuple)
 
@@ -233,6 +242,52 @@ class TestNormalizeWithoutFactoring:
         assert normalize((P,)) == (1,)
 
 
+class TestMoveLogFromGcds:
+    """The move log is read off the leave-one-out gcds: only those above 1 are factored, and no table is built."""
+
+    def test_scans_only_gcds_above_one(self, monkeypatch):
+        scans, tables = [], []
+
+        def scan(m):
+            scans.append(m)
+            return numth._scan(m)
+
+        def table(*args):
+            tables.append(args)
+            return weights._valuations(*args)
+
+        monkeypatch.setattr(weights, "_scan", scan)
+        monkeypatch.setattr(weights, "_valuations", table)
+        # the leave-one-out gcds are 7, 5, 3 and 2, by index; the moves go by prime
+        assert normalize_with_moves((30, 42, 70, 105)) == (
+            (1, 1, 1, 1),
+            [("reduce", 2, 3), ("reduce", 3, 2), ("reduce", 5, 1), ("reduce", 7, 0)],
+        )
+        # after the common factor 2 the gcds are 1, 1, 1 and 2
+        assert normalize_with_moves((4, 8, 12, 18)) == ((1, 2, 3, 9), [("scale", 2), ("reduce", 2, 3)])
+        assert normalize_with_moves((5,)) == ((1,), [("scale", 5)])
+        assert (scans, tables) == ([7, 5, 3, 2, 2], [])
+
+    def test_unfactorable_entry_without_moves(self):
+        P = 10**30 + 57  # past the Miller-Rabin proof, with no divisor up to the trial-division bound
+        assert normalize_with_moves((1, 2, P)) == ((1, 2, P), [])
+        with pytest.raises(ResourceLimitError):  # its one move would name P, which cannot be factored
+            normalize_with_moves((3 * P, 6 * P, 9))
+
+    def test_each_gcd_factored_alone(self):
+        # g = q * r has two primes above 2**20 and no smaller divisor, so it would be refused
+        q, r = 1048583, 1048589
+        assert normalize_with_moves((q, r, q * r)) == ((1, 1, 1), [("reduce", q, 1), ("reduce", r, 0)])
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.integers(1, 60), _large_entries, _past_2_64), min_size=1, max_size=6))
+    @example([2**70])  # the gcd is the single weight
+    @example([2**70 * 3, 2**66 * 5])  # two entries past 2**64
+    @example([3**50, 3**41 * 2**65, 5**30 * 2**65])  # one prime fixing one index many times
+    def test_agrees_with_the_table_route(self, w):
+        assert normalize_with_moves(w) == table_normalize_with_moves(w)
+
+
 class TestClosedFormAgainstMoves:
     """The closed-form core checked against the rewriting system it replaces."""
 
@@ -287,12 +342,13 @@ class TestValuationLimit:
 
     def test_every_entry_point_refuses(self):
         w = tuple(first_primes(1001))
-        for f in (divisor_chain_form, p_content_table, normalize_with_moves, canonical_pair):
+        for f in (divisor_chain_form, p_content_table, canonical_pair):
             with pytest.raises(ResourceLimitError):
                 f(w)
-        # decided by gcds, with no table
+        # decided by gcds, with no table; every leave-one-out gcd is 1, so nothing is factored
         assert normalize(w) == w
         assert is_normalized(w) is True
+        assert normalize_with_moves(w) == (w, [])
 
 
 class TestPContent:
